@@ -24,7 +24,7 @@ from .errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
                      ParseError, SchemaError, ValidationError)
 from .estimation import EstimatorConfig, estimate_ccn_rates
 from .fairtrain import TrainConfig, train_fair, train_fair_noisy
-from .noise import CCNNoise, inject_ccn
+from .noise import CCNNoise, inject_ccn, merge_cells
 
 METHODS = ("nocor", "cor", "cor_scale", "denoise")
 RESULT_COLUMNS = ("method", "tau", "tau_prime", "rho_plus_hat",
@@ -43,8 +43,8 @@ class SyntheticConfig:
     (0,0), (0,1), (1,0), (1,1), one mean vector per cell, shared isotropic
     variance."""
 
-    means: tuple
-    proportions: tuple
+    means: tuple[tuple[float, ...], ...]
+    proportions: tuple[float, ...]
     variance: float
     n: int
     seed: int
@@ -127,8 +127,8 @@ def load_csv(path, drop_missing=False):
     and a `label` column, both binary. Row order is preserved.
 
     Missing cells are a ``ParseError`` unless ``drop_missing`` removes the
-    affected rows; non-numeric cells are always errors. Returns the
-    dataset; feature column order follows the file.
+    affected rows; non-numeric and non-finite cells are always errors.
+    Returns the dataset; feature column order follows the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return _parse_csv(fh, drop_missing)
@@ -150,12 +150,13 @@ def _parse_csv(fh, drop_missing):
     y_col = header.index("label")
     feat_cols = [i for i in range(len(header)) if i not in (a_col, y_col)]
 
-    feats, sens, labels = [], [], []
+    feats, sens, labels, dropped = [], [], [], []
     for rownum, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ParseError("wrong number of cells", row=rownum)
         if any(cell.strip() == "" for cell in row):
             if drop_missing:
+                dropped.append(rownum)
                 continue
             col = next(header[i] for i, c in enumerate(row) if c.strip() == "")
             raise ParseError("missing value", row=rownum, column=col)
@@ -175,7 +176,17 @@ def _parse_csv(fh, drop_missing):
         labels.append(int(parsed[y_col]))
     if not feats:
         raise EmptyDataset("CSV file contains no data rows")
-    return Dataset(np.array(feats, dtype=float), sens, labels)
+    X = np.array(feats, dtype=float)
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        r, c = bad[0]
+        rownum = r + 2  # the file row of data row r, past any dropped rows
+        for skipped in dropped:
+            if skipped <= rownum:
+                rownum += 1
+        raise ParseError(f"non-finite value {float(X[r, c])!r}", row=rownum,
+                         column=header[feat_cols[c]])
+    return Dataset(X, sens, labels)
 
 
 def write_csv(data, path, feature_names=None):
@@ -208,13 +219,9 @@ def materialize(pop, denominator):
     if np.abs(counts - rounded).max() > 1e-6:
         raise ValidationError(
             "population masses are not integer multiples of 1/denominator")
-    feats, a, y = [], [], []
-    for i, c in enumerate(rounded.astype(int)):
-        for _ in range(c):
-            feats.append(pop.features[i])
-            a.append(int(pop.sensitive[i]))
-            y.append(int(pop.target[i]))
-    return Dataset(np.array(feats, dtype=float), a, y)
+    counts = rounded.astype(int)
+    return Dataset(np.repeat(pop.features, counts, axis=0),
+                   np.repeat(pop.sensitive, counts), np.repeat(pop.target, counts))
 
 
 def population_oracle(pop, scorer):
@@ -226,15 +233,10 @@ def mix_populations(pop_a, pop_b, weight_a):
     """Mixture weight_a * pop_a + (1-weight_a) * pop_b, cells merged."""
     if not 0.0 <= weight_a <= 1.0:
         raise ValidationError("weight_a must lie in [0, 1]")
-    merged = {}
-    for pop, w in ((pop_a, weight_a), (pop_b, 1.0 - weight_a)):
-        for i in range(pop.n_cells):
-            key = (tuple(pop.features[i]), int(pop.sensitive[i]),
-                   int(pop.target[i]))
-            merged[key] = merged.get(key, 0.0) + w * pop.mass[i]
-    feats = np.array([k[0] for k in merged], dtype=float)
-    return DiscretePopulation(feats, [k[1] for k in merged],
-                              [k[2] for k in merged], list(merged.values()))
+    return DiscretePopulation(*merge_cells(
+        (pop.features[i], int(pop.sensitive[i]), int(pop.target[i]), w * pop.mass[i])
+        for pop, w in ((pop_a, weight_a), (pop_b, 1.0 - weight_a))
+        for i in range(pop.n_cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +260,9 @@ class ExperimentConfig:
     rho_plus: float = 0.15
     rho_minus: float = 0.15
     noise_mode: str = "known"
-    rho_hat_grid: tuple = ()
-    tau_grid: tuple = (0.02, 0.05, 0.1, 0.15, 0.2)
-    methods: tuple = METHODS
+    rho_hat_grid: tuple[tuple[float, float], ...] = ()
+    tau_grid: tuple[float, ...] = (0.02, 0.05, 0.1, 0.15, 0.2)
+    methods: tuple[str, ...] = METHODS
     repetitions: int = 3
     train_fraction: float = 0.8
     base_seed: int = 1

@@ -13,16 +13,13 @@ import sys
 import numpy as np
 
 from . import bench, sweepconfig
-from .core import (Criterion, FairnessLoss, FairnessSpec, accuracy_risk,
-                   ddp, deo)
-from .errors import (DataError, FairnoiseError, NumericalError,
+from .core import FairnessSpec, accuracy_risk, ddp, deo
+from .errors import (DataError, FairnoiseError, NumericalError, SchemaError,
                      ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
 from .fairtrain import TrainConfig, load_model, save_model, train_fair, train_fair_noisy
 from .noise import (CCNNoise, ccn_to_mc, dp_epsilon_for_rho, dp_rho_for_epsilon,
                     inject_ccn)
-
-_CRITERIA = {"dp": Criterion.DEMOGRAPHIC_PARITY, "eo": Criterion.EQUAL_OPPORTUNITY}
 
 
 class _UsageExit(Exception):
@@ -68,14 +65,14 @@ def _build_parser():
     p = sub.add_parser("train", help="train a fair classifier on a CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--criterion", choices=sorted(_CRITERIA), default="dp")
-    p.add_argument("--loss", choices=["default", "predict_nonpositive",
-                                      "zero_one"], default="default")
+    p.add_argument("--criterion", choices=sorted(sweepconfig.CRITERIA),
+                   default="dp")
+    p.add_argument("--loss", choices=sorted(sweepconfig.LOSSES),
+                   default="default")
     p.add_argument("--rho-plus", type=float)
     p.add_argument("--rho-minus", type=float)
     p.add_argument("--estimate-noise", action="store_true")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outer-iterations", type=int)
     p.add_argument("--base-iterations", type=int)
     p.add_argument("--select-best", action="store_true")
@@ -153,9 +150,9 @@ def _cmd_dp_calibrate(args):
 
 def _cmd_train(args):
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
-    loss = None if args.loss == "default" else FairnessLoss(args.loss)
-    spec = FairnessSpec(_CRITERIA[args.criterion], loss, args.tau)
-    overrides = {"seed": args.seed, "select_best": args.select_best}
+    spec = FairnessSpec(sweepconfig.CRITERIA[args.criterion],
+                        sweepconfig.LOSSES[args.loss], args.tau)
+    overrides = {"select_best": args.select_best}
     if args.outer_iterations:
         overrides["outer_iterations"] = args.outer_iterations
     if args.base_iterations:
@@ -193,6 +190,9 @@ def _cmd_train(args):
 def _cmd_metrics(args):
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
     model = load_model(args.model)
+    if model.dimension != data.dimension:
+        raise SchemaError(f"the model expects {model.dimension} feature columns, "
+                          f"the CSV has {data.dimension}")
     vals = [("ddp", ddp(data, model)), ("deo", deo(data, model)),
             ("error", accuracy_risk(data, model))]
     for key, val in vals:
@@ -276,7 +276,7 @@ def main(argv=None):
     except FairnoiseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 

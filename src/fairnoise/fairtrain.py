@@ -40,8 +40,8 @@ class TrainConfig:
 
     The base learner is fixed to regularized logistic regression trained
     by full-batch gradient descent (``base_step`` is normalised by the
-    curvature bound, so 1.0 is safe at any feature scale). ``seed`` is
-    recorded for provenance; training itself is deterministic.
+    curvature bound, so 1.0 is safe at any feature scale). Training is
+    deterministic.
     """
 
     dual_step: float = 0.3
@@ -50,8 +50,6 @@ class TrainConfig:
     base_iterations: int = 40
     base_step: float = 1.0
     regularization: float = 3e-3
-    seed: int = 0
-    surrogate: str = "logistic"
     select_best: bool = False
     feasibility_slack: float = 0.01
     boundary_margin: float = 0.01
@@ -67,8 +65,6 @@ class TrainConfig:
             raise ValidationError("dual_bound must be > 0")
         if self.regularization < 0:
             raise ValidationError("regularization must be >= 0")
-        if self.surrogate != "logistic":
-            raise ValidationError("only the logistic surrogate is supported")
         if self.boundary_margin < 0 or self.feasibility_slack < 0:
             raise ValidationError("margins must be >= 0")
 
@@ -436,21 +432,31 @@ def save_model(classifier, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _header_count(lines, index, name):
+    parts = lines[index].split() if index < len(lines) else []
+    if len(parts) != 2 or parts[0] != name or not parts[1].isdecimal():
+        raise ValidationError(f"model file needs a '{name} <count>' line")
+    return int(parts[1])
+
+
 def load_model(path):
+    """Read a model file written by ``save_model``; a malformed file is a
+    ``ValidationError``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValidationError(f"not a fairnoise model file: {path}")
-    dim = int(lines[1].split()[1])
-    m = int(lines[2].split()[1])
+    dim = _header_count(lines, 1, "dimension")
+    m = _header_count(lines, 2, "members")
     if len(lines) != 3 + m:
         raise ValidationError("model file has a wrong member count")
-    weights, intercepts, coefs = [], [], []
-    for ln in lines[3:]:
-        parts = ln.split()
-        if len(parts) != 2 + dim:
-            raise ValidationError("model member has a wrong coefficient count")
-        weights.append(float(parts[0]))
-        intercepts.append(float(parts[1]))
-        coefs.append([float(p) for p in parts[2:]])
-    return FairClassifier(weights, coefs, intercepts)
+    try:
+        members = [[float(p) for p in ln.split()] for ln in lines[3:]]
+    except ValueError:
+        raise ValidationError("model members must hold numbers only") from None
+    if any(len(row) != 2 + dim for row in members):
+        raise ValidationError("model member has a wrong coefficient count")
+    if not np.isfinite(members).all():
+        raise ValidationError("model file holds a non-finite value")
+    return FairClassifier([row[0] for row in members], [row[2:] for row in members],
+                          [row[1] for row in members])

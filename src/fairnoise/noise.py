@@ -134,21 +134,25 @@ def corrupt_population(pop, noise, target_base_rate):
     corr1 = (1.0 - noise.alpha) * cond1 + noise.alpha * cond0
     corr0 = noise.beta * cond1 + (1.0 - noise.beta) * cond0
 
-    merged = {}
-    for buckets, a_corr, group_mass in ((corr1, 1, target_base_rate),
-                                        (corr0, 0, 1.0 - target_base_rate)):
-        for i in range(pop.n_cells):
-            if buckets[i] == 0.0:
-                continue
-            key = (tuple(pop.features[i]), a_corr, int(pop.target[i]))
-            merged[key] = merged.get(key, 0.0) + group_mass * buckets[i]
+    feats, a, y, mass = merge_cells(
+        (pop.features[i], a_corr, int(pop.target[i]), group_mass * buckets[i])
+        for buckets, a_corr, group_mass in ((corr1, 1, target_base_rate),
+                                            (corr0, 0, 1.0 - target_base_rate))
+        for i in range(pop.n_cells) if buckets[i] != 0.0)
+    mass = np.array(mass, dtype=float)
+    return DiscretePopulation(feats, a, y, mass / mass.sum())
 
-    feats = np.array([k[0] for k in merged], dtype=float)
-    a = [k[1] for k in merged]
-    y = [k[2] for k in merged]
-    mass = np.array(list(merged.values()), dtype=float)
-    mass = mass / mass.sum()
-    return DiscretePopulation(feats, a, y, mass)
+
+def merge_cells(cells):
+    """Merge (features, sensitive, target, mass) cells that coincide by
+    summing their masses. Cells keep first-seen order and masses are
+    summed in input order. Returns (features, sensitive, target, masses)."""
+    merged = {}
+    for feats, a, y, mass in cells:
+        key = (tuple(feats), a, y)
+        merged[key] = merged.get(key, 0.0) + mass
+    return (np.array([k[0] for k in merged], dtype=float),
+            [k[1] for k in merged], [k[2] for k in merged], list(merged.values()))
 
 
 def ccn_to_mc(noise, pi_a):

@@ -1,9 +1,13 @@
 """Flat key-value config files for the sweep harness.
 
-One ``key = value`` pair per line, ``#`` lines are comments. Keys mirror
-the experiment fields; CLI flags override file values, file values
-override the shipped defaults. Unknown keys are errors.
+One ``key = value`` pair per line, ``#`` lines are comments. CLI flags
+override file values, file values override the shipped defaults. Unknown
+keys are errors. The keys, listed once in ``_SCHEMA``, are the fields of
+the config dataclasses (``synth_`` and ``est_`` prefixes mark the
+synthetic-data and estimator fields); ``data`` picks the data source.
 """
+
+import dataclasses
 
 from .bench import (ExperimentConfig, SyntheticConfig, default_experiment_config)
 from .core import Criterion, FairnessLoss
@@ -11,24 +15,79 @@ from .errors import ValidationError
 from .estimation import EstimatorConfig
 from .fairtrain import TrainConfig
 
-_CRITERIA = {"dp": Criterion.DEMOGRAPHIC_PARITY, "eo": Criterion.EQUAL_OPPORTUNITY}
-_LOSSES = {"default": None,
-           "predict_nonpositive": FairnessLoss.PREDICT_NONPOSITIVE,
-           "zero_one": FairnessLoss.ZERO_ONE}
-_MEAN_KEYS = ("synth_mean_a0y0", "synth_mean_a0y1",
-              "synth_mean_a1y0", "synth_mean_a1y1")
+CRITERIA = {c.value: c for c in Criterion}
+LOSSES = {"default": None, **{loss.value: loss for loss in FairnessLoss}}
+DATA_KEY, CSV_KEY = "data", "csv_path"
 
-KNOWN_KEYS = {
-    "data", "csv_path", "criterion", "loss", "rho_plus", "rho_minus",
-    "noise_mode", "rho_hat_grid", "tau_grid", "methods", "repetitions",
-    "train_fraction", "base_seed",
-    "synth_n", "synth_seed", "synth_variance", "synth_proportions", *_MEAN_KEYS,
-    "outer_iterations", "base_iterations", "dual_step", "dual_bound",
-    "base_step", "regularization", "train_seed", "select_best",
-    "feasibility_slack", "boundary_margin", "presolve_iterations",
-    "presolve_base_iterations",
-    "est_max_iter", "est_n_bins", "est_anchor_quantile",
+
+def _names(text):
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _floats(text):
+    return tuple(float(v) for v in _names(text))
+
+
+def _bool(text):
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValidationError(f"expected a boolean, got {text!r}")
+
+
+def _pairs(text):
+    pairs = [pair.split(":") for pair in _names(text)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValidationError("entries look like rho+:rho-")
+    return tuple((float(p), float(q)) for p, q in pairs)
+
+
+def _choice(table):
+    def decode(text):
+        if text not in table:
+            raise ValidationError(f"expected one of {sorted(table)}")
+        return table[text]
+    return decode, {v: k for k, v in table.items()}.__getitem__
+
+
+# (decode, encode) per annotated field type; encoding to None omits the key.
+_CODECS = {
+    float: (float, repr),
+    int: (int, str),
+    str: (str, lambda v: v),
+    bool: (_bool, lambda v: "true" if v else "false"),
+    tuple[float, ...]: (_floats, lambda v: ",".join(repr(x) for x in v)),
+    tuple[str, ...]: (_names, ",".join),
+    tuple[tuple[float, float], ...]: (
+        _pairs, lambda v: ",".join(f"{p!r}:{q!r}" for p, q in v) or None),
+    Criterion: _choice(CRITERIA),
+    FairnessLoss: _choice(LOSSES),
 }
+
+_SECTIONS = {None: ExperimentConfig, "synthetic": SyntheticConfig,
+             "train": TrainConfig, "estimator": EstimatorConfig}
+
+
+def _rows(section, prefix, names):
+    types = {f.name: f.type for f in dataclasses.fields(_SECTIONS[section])}
+    return [(prefix + name, section, name, _CODECS[types[name]])
+            for name in names.split()]
+
+
+# (key, section, field, codec) in file order. Section None is ExperimentConfig
+# itself; a synth_mean_* row's field is its index into SyntheticConfig.means.
+_SCHEMA = (
+    _rows(None, "", CSV_KEY)
+    + [(f"synth_mean_{cell}", "synthetic", i, _CODECS[tuple[float, ...]])
+       for i, cell in enumerate(("a0y0", "a0y1", "a1y0", "a1y1"))]
+    + _rows("synthetic", "synth_", "proportions variance n seed")
+    + _rows(None, "", "criterion loss rho_plus rho_minus noise_mode rho_hat_grid "
+            "tau_grid methods repetitions train_fraction base_seed")
+    + _rows("train", "", " ".join(f.name for f in dataclasses.fields(TrainConfig)))
+    + _rows("estimator", "est_", "max_iter n_bins anchor_quantile"))
+
+KNOWN_KEYS = frozenset([DATA_KEY] + [row[0] for row in _SCHEMA])
 
 
 def parse_config_file(path):
@@ -49,175 +108,53 @@ def parse_config_file(path):
     return mapping
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
-
-
-def _bool(text):
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
-
-
 def build_experiment_config(mapping):
     """ExperimentConfig from a merged string mapping; unset keys keep the
-    shipped defaults."""
-    base = default_experiment_config()
+    shipped defaults. Synthetic keys are ignored for CSV data."""
     m = dict(mapping)
-
-    def pop(key, default):
-        return m.pop(key, default)
-
-    data_kind = pop("data", "synthetic" if base.csv_path is None else "csv")
-    synth = base.synthetic
-    csv_path = None
-    if data_kind == "csv":
-        csv_path = pop("csv_path", base.csv_path)
-        if not csv_path:
-            raise ValidationError("data = csv needs csv_path")
-        synth = None
-    elif data_kind != "synthetic":
-        raise ValidationError("data must be 'synthetic' or 'csv'")
-    if synth is not None:
-        means = tuple(
-            _floats(pop(k, ",".join(repr(x) for x in synth.means[i])))
-            for i, k in enumerate(_MEAN_KEYS))
-        synth = SyntheticConfig(
-            means=means,
-            proportions=_floats(pop("synth_proportions",
-                                    ",".join(repr(x) for x in synth.proportions))),
-            variance=float(pop("synth_variance", synth.variance)),
-            n=int(pop("synth_n", synth.n)),
-            seed=int(pop("synth_seed", synth.seed)))
-    else:
-        for k in (*_MEAN_KEYS, "synth_proportions", "synth_variance",
-                  "synth_n", "synth_seed"):
-            m.pop(k, None)
-
-    criterion = pop("criterion", None)
-    if criterion is not None:
-        if criterion not in _CRITERIA:
-            raise ValidationError(f"criterion must be one of {sorted(_CRITERIA)}")
-        criterion = _CRITERIA[criterion]
-    else:
-        criterion = base.criterion
-    loss = pop("loss", None)
-    if loss is not None:
-        if loss not in _LOSSES:
-            raise ValidationError(f"loss must be one of {sorted(_LOSSES)}")
-        loss = _LOSSES[loss]
-    else:
-        loss = base.loss
-
-    grid_text = pop("rho_hat_grid", None)
-    if grid_text is None:
-        rho_hat_grid = base.rho_hat_grid
-    else:
-        rho_hat_grid = []
-        for pair in grid_text.split(","):
-            pair = pair.strip()
-            if not pair:
-                continue
-            if ":" not in pair:
-                raise ValidationError("rho_hat_grid entries look like rho+:rho-")
-            p, _, q = pair.partition(":")
-            rho_hat_grid.append((float(p), float(q)))
-        rho_hat_grid = tuple(rho_hat_grid)
-
-    train = TrainConfig(
-        dual_step=float(pop("dual_step", base.train.dual_step)),
-        dual_bound=float(pop("dual_bound", base.train.dual_bound)),
-        outer_iterations=int(pop("outer_iterations", base.train.outer_iterations)),
-        base_iterations=int(pop("base_iterations", base.train.base_iterations)),
-        base_step=float(pop("base_step", base.train.base_step)),
-        regularization=float(pop("regularization", base.train.regularization)),
-        seed=int(pop("train_seed", base.train.seed)),
-        select_best=(_bool(pop("select_best", "x")) if "select_best" in mapping
-                     else base.train.select_best),
-        feasibility_slack=float(pop("feasibility_slack",
-                                    base.train.feasibility_slack)),
-        boundary_margin=float(pop("boundary_margin", base.train.boundary_margin)),
-        presolve_iterations=int(pop("presolve_iterations",
-                                    base.train.presolve_iterations)),
-        presolve_base_iterations=int(pop("presolve_base_iterations",
-                                         base.train.presolve_base_iterations)))
-    estimator = EstimatorConfig(
-        max_iter=int(pop("est_max_iter", base.estimator.max_iter)),
-        n_bins=int(pop("est_n_bins", base.estimator.n_bins)),
-        anchor_quantile=float(pop("est_anchor_quantile",
-                                  base.estimator.anchor_quantile)))
-
-    config = ExperimentConfig(
-        synthetic=synth, csv_path=csv_path, criterion=criterion, loss=loss,
-        rho_plus=float(pop("rho_plus", base.rho_plus)),
-        rho_minus=float(pop("rho_minus", base.rho_minus)),
-        noise_mode=pop("noise_mode", base.noise_mode),
-        rho_hat_grid=rho_hat_grid,
-        tau_grid=_floats(pop("tau_grid", ",".join(repr(t) for t in base.tau_grid))),
-        methods=tuple(s.strip() for s in pop("methods",
-                                             ",".join(base.methods)).split(",")
-                      if s.strip()),
-        repetitions=int(pop("repetitions", base.repetitions)),
-        train_fraction=float(pop("train_fraction", base.train_fraction)),
-        base_seed=int(pop("base_seed", base.base_seed)),
-        train=train, estimator=estimator)
-    m.pop("select_best", None)
+    source = m.pop(DATA_KEY, "synthetic")
+    if source not in ("synthetic", "csv"):
+        raise ValidationError(f"{DATA_KEY} must be 'synthetic' or 'csv'")
+    if (source == "csv") != bool(m.get(CSV_KEY)):
+        raise ValidationError(f"{CSV_KEY} is set exactly when {DATA_KEY} = csv")
+    values = {section: {} for section in _SECTIONS}
+    for key, section, field, (decode, _) in _SCHEMA:
+        text = m.pop(key, None)
+        if text is None or (section == "synthetic" and source == "csv"):
+            continue
+        try:
+            values[section][field] = decode(text)
+        except ValueError as exc:
+            raise ValidationError(f"{key}: {exc}") from None
     if m:
         raise ValidationError(f"unused config keys: {sorted(m)}")
-    return config
+    base = default_experiment_config()
+    synthetic, syn = None, values["synthetic"]
+    if source == "synthetic":
+        means = tuple(syn.pop(i, mean) for i, mean in enumerate(base.synthetic.means))
+        synthetic = dataclasses.replace(base.synthetic, means=means, **syn)
+    return dataclasses.replace(
+        base, synthetic=synthetic, **values[None],
+        train=dataclasses.replace(base.train, **values["train"]),
+        estimator=dataclasses.replace(base.estimator, **values["estimator"]))
 
 
 def config_to_mapping(config):
-    """Flat mapping reproducing an ExperimentConfig (used to ship the
-    default config file)."""
-    out = {}
-    if config.csv_path is not None:
-        out["data"] = "csv"
-        out["csv_path"] = config.csv_path
-    else:
-        out["data"] = "synthetic"
-        s = config.synthetic
-        for key, mean in zip(_MEAN_KEYS, s.means):
-            out[key] = ",".join(repr(v) for v in mean)
-        out["synth_proportions"] = ",".join(repr(v) for v in s.proportions)
-        out["synth_variance"] = repr(s.variance)
-        out["synth_n"] = str(s.n)
-        out["synth_seed"] = str(s.seed)
-    out["criterion"] = config.criterion.value
-    out["loss"] = "default" if config.loss is None else config.loss.value
-    out["rho_plus"] = repr(config.rho_plus)
-    out["rho_minus"] = repr(config.rho_minus)
-    out["noise_mode"] = config.noise_mode
-    if config.rho_hat_grid:
-        out["rho_hat_grid"] = ",".join(f"{repr(p)}:{repr(q)}"
-                                       for p, q in config.rho_hat_grid)
-    out["tau_grid"] = ",".join(repr(t) for t in config.tau_grid)
-    out["methods"] = ",".join(config.methods)
-    out["repetitions"] = str(config.repetitions)
-    out["train_fraction"] = repr(config.train_fraction)
-    out["base_seed"] = str(config.base_seed)
-    t = config.train
-    out.update(dual_step=repr(t.dual_step), dual_bound=repr(t.dual_bound),
-               outer_iterations=str(t.outer_iterations),
-               base_iterations=str(t.base_iterations),
-               base_step=repr(t.base_step), regularization=repr(t.regularization),
-               train_seed=str(t.seed),
-               select_best="true" if t.select_best else "false",
-               feasibility_slack=repr(t.feasibility_slack),
-               boundary_margin=repr(t.boundary_margin),
-               presolve_iterations=str(t.presolve_iterations),
-               presolve_base_iterations=str(t.presolve_base_iterations))
-    e = config.estimator
-    out.update(est_max_iter=str(e.max_iter), est_n_bins=str(e.n_bins),
-               est_anchor_quantile=repr(e.anchor_quantile))
+    """Flat mapping that builds back into ``config``."""
+    out = {DATA_KEY: "synthetic" if config.csv_path is None else "csv"}
+    for key, section, field, (_, encode) in _SCHEMA:
+        obj = config if section is None else getattr(config, section)
+        if obj is None:  # the synthetic section of a CSV config
+            continue
+        text = encode(obj.means[field] if isinstance(field, int)
+                      else getattr(obj, field))
+        if text is not None:
+            out[key] = text
     return out
 
 
 def write_config_file(config, path):
-    mapping = config_to_mapping(config)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# fairnoise sweep configuration\n")
-        for key, value in mapping.items():
+        for key, value in config_to_mapping(config).items():
             fh.write(f"{key} = {value}\n")

@@ -38,3 +38,30 @@ def random_dataset(rng, n=None, dim=3):
 
 def random_scorer(rng, dim):
     return LinearScorer(rng.normal(0.0, 1.0, dim), float(rng.normal(0.0, 0.5)))
+
+
+FILE_MUTATIONS = ("truncate", "token", "drop_column", "bad_byte")
+
+
+def mutate_file_text(rng, text, sep, kind):
+    """One seeded corruption of a line-oriented file whose fields are split
+    by ``sep``: cut it short, replace one field with junk, drop one field
+    from every line that has it, or insert a byte that is not UTF-8.
+    Returns bytes."""
+    if kind == "truncate":
+        return text[:int(rng.integers(0, len(text)))].encode()
+    if kind == "bad_byte":
+        raw = text.encode()
+        cut = int(rng.integers(0, len(raw)))
+        return raw[:cut] + b"\xff" + raw[cut:]
+    lines = [line.split(sep) for line in text.splitlines()]
+    if kind == "token":
+        row = lines[int(rng.integers(0, len(lines)))]
+        row[int(rng.integers(0, len(row)))] = str(rng.choice(
+            ["x", "nan", "inf", "-inf", "1e999", ""]))
+    elif kind == "drop_column":
+        j = int(rng.integers(0, max(len(row) for row in lines)))
+        lines = [row[:j] + row[j + 1:] if len(row) > j else row for row in lines]
+    else:
+        raise ValueError(f"unknown mutation {kind!r}")
+    return ("\n".join(sep.join(row) for row in lines) + "\n").encode()

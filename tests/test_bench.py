@@ -2,7 +2,7 @@
 sweep protocol."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -341,6 +341,71 @@ class TestDefaultConfig:
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense = 1\n")
         with pytest.raises(ValidationError):
+            parse_config_file(p)
+
+
+# A valid non-default value for every sweep key but the data-source pair,
+# written the way config_to_mapping writes it.
+NON_DEFAULT_SETTINGS = {
+    "synth_mean_a0y0": "-1.0,-1.0,-1.0,0.5", "synth_mean_a0y1": "1.0,0.5,-1.0,0.5",
+    "synth_mean_a1y0": "-1.0,-0.5,1.0,0.5", "synth_mean_a1y1": "1.0,1.0,1.0,0.5",
+    "synth_proportions": "0.25,0.25,0.25,0.25", "synth_variance": "2.0",
+    "synth_n": "500", "synth_seed": "7", "criterion": "eo", "loss": "zero_one",
+    "rho_plus": "0.1", "rho_minus": "0.05", "noise_mode": "estimate",
+    "rho_hat_grid": "0.1:0.2", "tau_grid": "0.3", "methods": "nocor",
+    "repetitions": "2", "train_fraction": "0.7", "base_seed": "9",
+    "dual_step": "0.5", "dual_bound": "10.0", "outer_iterations": "7",
+    "base_iterations": "9", "base_step": "0.5", "regularization": "0.01",
+    "select_best": "true", "feasibility_slack": "0.02",
+    "boundary_margin": "0.02", "presolve_iterations": "5",
+    "presolve_base_iterations": "11", "est_max_iter": "50", "est_n_bins": "7",
+    "est_anchor_quantile": "0.01",
+}
+
+
+def _config_leaves(cfg, prefix=()):
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            out.update(_config_leaves(value, prefix + (f.name,)))
+        else:
+            out[prefix + (f.name,)] = value
+    return out
+
+
+class TestConfigSchema:
+    def test_every_key_is_wired(self):
+        from fairnoise.sweepconfig import (KNOWN_KEYS, build_experiment_config,
+                                           config_to_mapping)
+        assert set(NON_DEFAULT_SETTINGS) == KNOWN_KEYS - {"data", "csv_path"}
+        default = default_experiment_config()
+        default_leaves = _config_leaves(default)
+        default_mapping = config_to_mapping(default)
+        for key, value in NON_DEFAULT_SETTINGS.items():
+            cfg = build_experiment_config({key: value})
+            leaves = _config_leaves(cfg)
+            changed = [f for f in leaves if leaves[f] != default_leaves[f]]
+            assert len(changed) == 1, (key, changed)
+            mapping = config_to_mapping(cfg)
+            assert mapping[key] == value
+            assert {k for k in mapping.keys() | default_mapping.keys()
+                    if mapping.get(k) != default_mapping.get(k)} == {key}
+
+    @pytest.mark.parametrize("mapping", [
+        {"data": "parquet"}, {"data": "csv"}, {"csv_path": "x.csv"},
+        {"select_best": "maybe"}, {"criterion": "eq"}, {"loss": "hinge"},
+        {"rho_hat_grid": "0.1"}, {"synth_n": "many"}, {"nonsense": "1"}])
+    def test_bad_mapping_rejected(self, mapping):
+        from fairnoise.sweepconfig import build_experiment_config
+        with pytest.raises(ValidationError):
+            build_experiment_config(mapping)
+
+    def test_removed_train_seed_key_rejected(self, tmp_path):
+        from fairnoise.sweepconfig import parse_config_file
+        p = tmp_path / "old.cfg"
+        p.write_text("train_seed = 0\n")
+        with pytest.raises(ValidationError, match="unknown key 'train_seed'"):
             parse_config_file(p)
 
 

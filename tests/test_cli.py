@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from _random_cases import FILE_MUTATIONS, mutate_file_text
 from fairnoise.bench import (anchor_synthetic_config,
                              disparity_synthetic_config, load_csv,
                              read_results, synth_generate, write_csv)
 from fairnoise.cli import main
+from fairnoise.core import Dataset
+from fairnoise.errors import ParseError
+from fairnoise.fairtrain import FairClassifier, save_model
 from fairnoise.noise import CCNNoise, inject_ccn
 
 
@@ -126,6 +130,79 @@ class TestMetrics:
         printed = capsys.readouterr().out
         assert "ddp = " in printed and "error = " in printed
         assert out.exists()
+
+
+def _save_random_model(rng, path, dimension, members=3):
+    weights = rng.random(members) + 0.1
+    save_model(FairClassifier(weights / weights.sum(),
+                              rng.normal(size=(members, dimension)),
+                              rng.normal(size=members)), path)
+
+
+class TestMalformedInputs:
+    def test_non_numeric_model_header_exits_1(self, csv_path, tmp_path):
+        p = tmp_path / "m.txt"
+        for text in ("fairnoise-model 1\ndimension x\nmembers 1\n0 0 0 0 0 0\n",
+                     "fairnoise-model 1\ndimension 4\nmembers y\n",
+                     "fairnoise-model 1\n"):
+            p.write_text(text)
+            assert main(["metrics", "--input", str(csv_path),
+                         "--model", str(p)]) == 1
+
+    def test_model_dimension_mismatch_exits_2(self, csv_path, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        _save_random_model(np.random.default_rng(0), p, dimension=3)
+        assert main(["metrics", "--input", str(csv_path), "--model", str(p)]) == 2
+        assert "feature columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_exits_2(self, tmp_path, capsys, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x0,x1,sensitive,label\n1.0,2.0,0,1\n0.5,{cell},1,0\n")
+        assert main(["estimate", "--input", str(p)]) == 2
+        assert "row 3, column 'x1'" in capsys.readouterr().err
+
+    def test_non_finite_cell_row_counts_dropped_rows(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x0,sensitive,label\n,0,1\n1.0,1,0\n,0,0\n2.0,0,1\nnan,1,1\n")
+        with pytest.raises(ParseError, match="row 6, column 'x0'"):
+            load_csv(p, drop_missing=True)
+
+
+class TestExitCodeFuzz:
+    """Seeded mutations of a valid CSV and a valid model file: every
+    ``metrics`` and ``estimate`` call ends in a documented exit code."""
+
+    @pytest.mark.filterwarnings("ignore::fairnoise.errors.DegenerateEstimateWarning")
+    def test_mutated_inputs_never_raise(self, tmp_path, capsys):
+        rng = np.random.default_rng(2024)
+        data = synth_generate(anchor_synthetic_config(n=300, seed=5))
+        csv_ok, model_ok = tmp_path / "ok.csv", tmp_path / "ok.txt"
+        write_csv(data, csv_ok)
+        _save_random_model(rng, model_ok, data.dimension)
+        csv_text, model_text = csv_ok.read_text(), model_ok.read_text()
+        csv_bad, model_bad = tmp_path / "bad.csv", tmp_path / "bad.txt"
+        cases = [(target, kind) for target in ("csv", "model")
+                 for kind in FILE_MUTATIONS + ("dimension",) for _ in range(6)]
+        for target, kind in cases:
+            csv_bad.write_bytes(csv_text.encode())
+            model_bad.write_bytes(model_text.encode())
+            if kind == "dimension" and target == "csv":
+                kept = int(rng.integers(0, data.dimension))
+                write_csv(Dataset(data.features[:, :kept], data.sensitive,
+                                  data.target), csv_bad)
+            elif kind == "dimension":
+                _save_random_model(rng, model_bad,
+                                   data.dimension + int(rng.choice([-1, 1])))
+            elif target == "csv":
+                csv_bad.write_bytes(mutate_file_text(rng, csv_text, ",", kind))
+            else:
+                model_bad.write_bytes(mutate_file_text(rng, model_text, " ", kind))
+            for argv in (["metrics", "--input", str(csv_bad), "--model", str(model_bad)],
+                         ["estimate", "--input", str(csv_bad)]):
+                rc = main(argv)
+                assert rc in (0, 1, 2, 3), (target, kind, argv[0], rc)
+        capsys.readouterr()
 
 
 class TestSweep:
