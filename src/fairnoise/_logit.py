@@ -5,18 +5,39 @@ denoiser. Targets may be soft (in [0, 1]); example weights must be
 nonnegative. The step size is normalised by the standard curvature bound
 0.25 * max_i ||x_i||^2 + reg, so ``lr=1.0`` is a safe default for any
 feature scale.
+
+The gradient is the hot path of every training (about 10^5 evaluations in
+one default sweep), so the kernel keeps this contract:
+
+- ``sigmoid`` is branch-free: ``e = exp(-|z|)``, then
+  ``where(z >= 0, 1, e) / (1 + e)``. That is bit-identical to the masked
+  form ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))``
+  otherwise, because ``-|z| == z`` exactly for z < 0, and NaN takes the
+  second branch in both.
+- ``fit_logistic`` does the same floating-point operations, in the same
+  order, as the plain masked loop; ``tests/test_logit.py`` keeps that loop
+  as the reference and checks bitwise equality.
+- Scratch buffers (the length-n score, the length-(d+1) gradient) are
+  allocated once per fit and written with ``out=``. No state outlives a
+  fit, and the caller's arrays are never written.
+- Each gradient evaluation calls the module-global ``sigmoid`` exactly
+  once, looked up by name at call time, so a wrapper bound to that name
+  sees every gradient.
 """
+
+import math
 
 import numpy as np
 
 
 def sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.abs(z, dtype=float)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.where(z >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    p /= e
+    return p
 
 
 def fit_logistic(X, targets, weights, reg=0.0, lr=1.0, max_iter=200, tol=0.0,
@@ -41,39 +62,46 @@ def fit_logistic(X, targets, weights, reg=0.0, lr=1.0, max_iter=200, tol=0.0,
     row_sq = (X * X).sum(axis=1) + 1.0
     step = lr / (0.25 * row_sq.max() + reg)
 
-    def grad(v):
-        p = sigmoid(X @ v[:d] + v[d])
-        g = wn * (p - t)
-        out = np.empty(d + 1)
-        out[:d] = X.T @ g + reg * v[:d]
-        out[d] = g.sum()
-        return out
+    XT = X.T
+    score = np.empty(n)
+    g = np.empty(d + 1)
+    g_coef = g[:d]
 
-    gnorm = np.inf
+    def grad(v):
+        # writes the gradient at v into g
+        coef = v[:d]
+        np.matmul(X, coef, out=score)
+        np.add(score, v[d], out=score)
+        r = sigmoid(score)
+        r -= t
+        r *= wn
+        np.matmul(XT, r, out=g_coef)
+        np.add(g_coef, reg * coef, out=g_coef)
+        g[d] = r.sum()
+
     it = 0
     if not accelerated:
         for it in range(1, max_iter + 1):
-            g = grad(z)
-            gnorm = float(np.sqrt(g @ g))
-            if tol > 0.0 and gnorm <= tol:
+            grad(z)
+            if tol > 0.0 and math.sqrt(g @ g) <= tol:
                 break
             z -= step * g
-        return z[:d], float(z[d]), it, gnorm
-
-    y = z.copy()
-    momentum = 0.0
-    for it in range(1, max_iter + 1):
-        g = grad(y)
-        gnorm = float(np.sqrt(g @ g))
-        if tol > 0.0 and gnorm <= tol:
-            z = y
-            break
-        z_new = y - step * g
-        delta = z_new - z
-        # gradient restart keeps the momentum from overshooting
-        momentum = 0.0 if g @ delta > 0.0 else momentum + 1.0
-        y = z_new + (momentum / (momentum + 3.0)) * delta
-        z = z_new
+    else:
+        y = z.copy()
+        momentum = 0.0
+        for it in range(1, max_iter + 1):
+            grad(y)
+            if tol > 0.0 and math.sqrt(g @ g) <= tol:
+                z = y
+                break
+            z_new = y - step * g
+            delta = z_new - z
+            # gradient restart keeps the momentum from overshooting
+            momentum = 0.0 if g @ delta > 0.0 else momentum + 1.0
+            y = z_new + (momentum / (momentum + 3.0)) * delta
+            z = z_new
+    # g still holds the last gradient: the updates above only read it
+    gnorm = math.sqrt(g @ g) if it else np.inf
     return z[:d], float(z[d]), it, gnorm
 
 

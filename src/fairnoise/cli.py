@@ -88,7 +88,7 @@ def _build_parser():
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", default="results.csv")
     p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("FAIRNOISE_JOBS", "1")))
+                   help="worker processes (default: $FAIRNOISE_JOBS, else 1)")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
     p.add_argument("--write-default-config", metavar="PATH",
@@ -153,9 +153,9 @@ def _cmd_train(args):
     spec = FairnessSpec(sweepconfig.CRITERIA[args.criterion],
                         sweepconfig.LOSSES[args.loss], args.tau)
     overrides = {"select_best": args.select_best}
-    if args.outer_iterations:
+    if args.outer_iterations is not None:
         overrides["outer_iterations"] = args.outer_iterations
-    if args.base_iterations:
+    if args.base_iterations is not None:
         overrides["base_iterations"] = args.base_iterations
     config = TrainConfig(**overrides)
 
@@ -222,15 +222,24 @@ def _cmd_sweep(args):
             raise _UsageExit(f"unknown config key {key.strip()!r}")
         mapping[key.strip()] = value.strip()
     config = sweepconfig.build_experiment_config(mapping)
-    if args.jobs < 1:
-        raise _UsageExit("--jobs must be >= 1")
-    rows = bench.run_sweep(config, jobs=args.jobs)
+    jobs = args.jobs if args.jobs is not None else _jobs_from_env()
+    if jobs < 1:
+        raise _UsageExit("--jobs (or FAIRNOISE_JOBS) must be >= 1")
+    rows = bench.run_sweep(config, jobs=jobs)
     agg_path = bench.emit_results(rows, args.out)
     done = sum(1 for r in rows if r.fairness_violation is not None)
     print(f"wrote {args.out} ({len(rows)} rows, {done} evaluated) and {agg_path}")
     for line in _summarize(rows):
         print(line)
     return 0
+
+
+def _jobs_from_env():
+    value = os.environ.get("FAIRNOISE_JOBS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise _UsageExit(f"FAIRNOISE_JOBS must be an integer, got {value!r}") from None
 
 
 def _summarize(rows):

@@ -101,6 +101,17 @@ class TestTrain:
                    "--estimate-noise", "--model-out", str(tmp_path / "m.txt")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--outer-iterations", "--base-iterations"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_iterations_exit_1(self, csv_path, tmp_path, capsys,
+                                            flag, value):
+        model_out = tmp_path / "m.txt"
+        rc = main(["train", "--input", str(csv_path), "--tau", "0.1",
+                   "--model-out", str(model_out), flag, value])
+        assert rc == 1
+        assert "iteration counts must be >= 1" in capsys.readouterr().err
+        assert not model_out.exists()
+
 
 class TestEstimate:
     def test_zero_noise_fixture(self, tmp_path, capsys):
@@ -259,6 +270,34 @@ class TestJobsEnvVar:
                    "--set", "presolve_base_iterations=30"])
         assert rc == 0
         assert len(read_results(out)) == 4
+
+    @pytest.mark.parametrize("command", [["dp-calibrate", "--epsilon", "1.0"],
+                                         ["sweep", "--write-default-config", "c.cfg"]])
+    def test_bad_value_ignored_outside_sweep_runs(self, tmp_path, monkeypatch,
+                                                  command):
+        monkeypatch.setenv("FAIRNOISE_JOBS", "abc")
+        monkeypatch.chdir(tmp_path)
+        assert main(command) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_non_integer_value_is_usage_error(self, tmp_path, monkeypatch,
+                                              capsys, value):
+        monkeypatch.setenv("FAIRNOISE_JOBS", value)
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--out", str(out)]) == 1
+        assert "FAIRNOISE_JOBS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_flag_overrides_bad_value(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FAIRNOISE_JOBS", "abc")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--out", str(out), "--jobs", "1",
+                     "--set", "synth_n=400", "--set", "tau_grid=0.2",
+                     "--set", "repetitions=1", "--set", "methods=nocor",
+                     "--set", "outer_iterations=4", "--set", "base_iterations=10",
+                     "--set", "presolve_iterations=4",
+                     "--set", "presolve_base_iterations=10"]) == 0
+        assert len(read_results(out)) == 2
 
 
 class TestDenoiseLabel:
