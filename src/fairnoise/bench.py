@@ -342,90 +342,83 @@ def _rate_pairs(config, corrupted_train):
     return list(config.rho_hat_grid)
 
 
-def _evaluate(model, spec, train_clean, test_clean, base, seed, rep):
-    rows = []
-    for split_name, split_data in (("train", train_clean), ("test", test_clean)):
-        rows.append(ResultRow(
-            split=split_name,
-            fairness_violation=disparity(split_data, model, spec),
-            error=accuracy_risk(split_data, model),
-            seed=seed, repetition=rep, **base))
-    return rows
+def run_cell(config, data, rep, method):
+    """All rows of one (repetition, method) sweep cell, over the tau grid.
 
-
-def run_cell(config, rep, tau):
-    """All rows of one (repetition, tau) sweep cell. Deterministic."""
-    data = _load_data(config)
-    spec = FairnessSpec(config.criterion, config.loss, tau)
+    Only the tolerance depends on tau, so the split, the injection, the
+    rate estimate and each denoised training set are built once here;
+    then every tau trains and is evaluated. A failed training leaves empty
+    rows for its tau, a failed rate estimate or denoise for every tau it
+    feeds; each failure warns once with the reason. Deterministic.
+    """
     train_clean, test_clean, seed = _split(data, config, rep)
-    corrupted = inject_ccn(train_clean, CCNNoise(config.rho_plus, config.rho_minus),
-                           _inject_seed(config, rep))
+    specs = [FairnessSpec(config.criterion, config.loss, tau)
+             for tau in config.tau_grid]
     rows = []
 
-    def record(method, rho_pair, runner):
-        base = {"method": method, "tau": tau,
-                "tau_prime": None,
-                "rho_plus_hat": rho_pair[0] if rho_pair else None,
-                "rho_minus_hat": rho_pair[1] if rho_pair else None}
-        try:
-            model, tau_prime = runner()
-            base["tau_prime"] = tau_prime
-            rows.extend(_evaluate(model, spec, train_clean, test_clean,
-                                  base, seed, rep))
-        except FairnoiseError as exc:
-            warnings.warn(f"sweep cell {method} tau={tau} rep={rep} failed: {exc}",
-                          FairnoiseWarning, stacklevel=2)
-            for split_name in ("train", "test"):
-                rows.append(ResultRow(split=split_name, fairness_violation=None,
-                                      error=None, seed=seed, repetition=rep,
-                                      **base))
+    def add_rows(spec, pair, tau_prime=None, model=None):
+        rows.extend([ResultRow(
+            method, spec.tolerance, tau_prime, *(pair or (None, None)), name,
+            None if model is None else disparity(split, model, spec),
+            None if model is None else accuracy_risk(split, model),
+            seed, rep) for name, split in (("train", train_clean),
+                                           ("test", test_clean))])
 
-    for method in config.methods:
-        if method == "nocor":
-            record(method, None,
-                   lambda: (train_fair(train_clean, spec, config.train), None))
-        elif method == "cor":
-            record(method, None,
-                   lambda: (train_fair(corrupted, spec, config.train), None))
-        elif method == "cor_scale":
-            for pair in _rate_pairs(config, corrupted):
-                def scale_runner(pair=pair):
-                    model = train_fair_noisy(corrupted, spec, CCNNoise(*pair),
+    def fail(what, exc, pair, failed_specs, tau_prime=None):
+        warnings.warn(f"sweep cell {method} {what} rep={rep} failed: {exc}",
+                      FairnoiseWarning, stacklevel=2)
+        for spec in failed_specs:
+            add_rows(spec, pair, tau_prime)
+
+    train_set, pairs = train_clean, [None]
+    if method != "nocor":
+        train_set = inject_ccn(train_clean,
+                               CCNNoise(config.rho_plus, config.rho_minus),
+                               _inject_seed(config, rep))
+    if method in ("cor_scale", "denoise"):
+        try:
+            pairs = _rate_pairs(config, train_set)
+        except FairnoiseError as exc:
+            fail("rate estimate", exc, None, specs)
+            return rows
+    for pair in pairs:
+        fit_set = train_set
+        if method == "denoise":
+            try:
+                fit_set, _ = denoise_ccn(train_set, CCNNoise(*pair),
+                                         config.estimator)
+            except FairnoiseError as exc:
+                fail(f"rho_hat={pair}", exc, pair, specs)
+                continue
+        for spec in specs:
+            tau_prime = None
+            try:
+                if method == "cor_scale":
+                    model = train_fair_noisy(fit_set, spec, CCNNoise(*pair),
                                              config.train)
-                    return model, model.trace.tau
-                record(method, pair, scale_runner)
-        else:
-            for pair in _rate_pairs(config, corrupted):
-                def denoise_runner(pair=pair):
-                    cleaned, _ = denoise_ccn(corrupted, CCNNoise(*pair),
-                                             config.estimator)
-                    return train_fair(cleaned, spec, config.train), None
-                record(method, pair, denoise_runner)
+                    tau_prime = model.trace.tau
+                else:
+                    model = train_fair(fit_set, spec, config.train)
+                add_rows(spec, pair, tau_prime, model)
+            except FairnoiseError as exc:
+                fail(f"tau={spec.tolerance}", exc, pair, [spec], tau_prime)
     return rows
 
 
 def run_sweep(config, jobs=1):
-    """Run every (repetition, tau, method) cell and return the result rows.
+    """Run every (repetition, method) cell and return the result rows.
 
-    Cells are independent given their derived seeds; ``jobs`` > 1 runs
-    them in worker processes. Identical configs yield identical rows.
+    The data is loaded once. Cells are independent given their derived
+    seeds; ``jobs`` > 1 runs them in worker processes. Identical configs
+    yield identical rows.
     """
-    tasks = [(rep, tau) for rep in range(config.repetitions)
-             for tau in config.tau_grid]
-    rows = []
+    data = _load_data(config)
+    tasks = zip(*[(config, data, rep, method) for rep in range(config.repetitions)
+                  for method in config.methods])
     if jobs <= 1:
-        for rep, tau in tasks:
-            rows.extend(run_cell(config, rep, tau))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_run_cell_task,
-                                  [(config, rep, tau) for rep, tau in tasks]):
-                rows.extend(chunk)
-    return rows
-
-
-def _run_cell_task(args):
-    return run_cell(*args)
+        return [row for chunk in map(run_cell, *tasks) for row in chunk]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [row for chunk in pool.map(run_cell, *tasks) for row in chunk]
 
 
 def _fmt_cell(value):
@@ -469,8 +462,7 @@ def emit_results(rows, path):
         writer = csv.writer(fh)
         writer.writerow(AGG_COLUMNS)
         for key in sorted(groups, key=lambda k: tuple(
-                -1.0 if v is None else v if not isinstance(v, str) else v
-                for v in k)):
+                -1.0 if v is None else v for v in k)):
             members = groups[key]
             fv = np.array([r.fairness_violation for r in members])
             er = np.array([r.error for r in members])

@@ -87,6 +87,11 @@ class Dataset:
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the default protocol sets the slots
+        # through __setattr__, which refuses
+        return Dataset, (self.features, self.sensitive, self.target)
+
     @classmethod
     def from_examples(cls, examples):
         examples = list(examples)

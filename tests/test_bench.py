@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 
 from fairnoise._logit import fit_logistic
-from fairnoise.bench import (ExperimentConfig, ResultRow, SyntheticConfig,
-                             default_experiment_config,
+from fairnoise.bench import (METHODS, ExperimentConfig, ResultRow,
+                             SyntheticConfig, default_experiment_config,
                              disparity_synthetic_config, emit_results,
                              load_csv, materialize, mix_populations,
-                             population_oracle, read_results, run_cell,
-                             run_sweep, synth_generate, write_csv,
-                             _inject_seed, _split)
+                             population_oracle, read_results, run_sweep,
+                             synth_generate, write_csv, _inject_seed,
+                             _sort_key, _split)
 from fairnoise.core import (ConstantScorer, Criterion, Dataset,
                             DiscretePopulation, FairnessSpec, LinearScorer,
-                            accuracy_risk, ddp)
-from fairnoise.errors import (EmptyDataset, FairnoiseWarning, ParseError,
-                              SchemaError, ValidationError)
-from fairnoise.fairtrain import TrainConfig, train_fair
+                            accuracy_risk, ddp, disparity)
+from fairnoise.denoise import denoise_ccn
+from fairnoise.errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
+                              ParseError, SchemaError, ValidationError)
+from fairnoise.estimation import estimate_ccn_rates
+from fairnoise.fairtrain import TrainConfig, train_fair, train_fair_noisy
 from fairnoise.noise import CCNNoise, ccn_to_mc_from_corrupted, inject_ccn
 
 FAST_TRAIN = TrainConfig(outer_iterations=8, base_iterations=25,
@@ -424,3 +426,209 @@ class TestCsvDataSource:
         rows = run_sweep(cfg)
         assert len(rows) == 4
         assert all(r.fairness_violation is not None for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# The per-(repetition, tau) runner that run_cell replaced, verbatim except
+# for the ``_ref_`` prefix on its names. It rebuilt the data, the split,
+# the injection, the rate estimate and the denoised set for every tau; the
+# per-(repetition, method) runner must give the same rows.
+
+
+def _ref_load_data(config):
+    if config.synthetic is not None:
+        return synth_generate(config.synthetic)
+    return load_csv(config.csv_path)
+
+
+def _ref_split(data, config, rep):
+    seed = config.base_seed + rep
+    order = np.random.default_rng(seed).permutation(len(data))
+    n_train = int(config.train_fraction * len(data))
+    if n_train == 0 or n_train == len(data):
+        raise ValidationError("split leaves an empty train or test set")
+    return data.subset(order[:n_train]), data.subset(order[n_train:]), seed
+
+
+def _ref_inject_seed(config, rep):
+    return (config.base_seed + rep) * 1_000_003 + 1
+
+
+def _ref_rate_pairs(config, corrupted_train):
+    """(rho+, rho-) pairs the noise-consuming methods run with."""
+    if config.noise_mode == "known":
+        return [(config.rho_plus, config.rho_minus)]
+    if config.noise_mode == "estimate":
+        est = estimate_ccn_rates(corrupted_train, config.estimator)
+        return [(est.rho_plus, est.rho_minus)]
+    return list(config.rho_hat_grid)
+
+
+def _ref_evaluate(model, spec, train_clean, test_clean, base, seed, rep):
+    rows = []
+    for split_name, split_data in (("train", train_clean), ("test", test_clean)):
+        rows.append(ResultRow(
+            split=split_name,
+            fairness_violation=disparity(split_data, model, spec),
+            error=accuracy_risk(split_data, model),
+            seed=seed, repetition=rep, **base))
+    return rows
+
+
+def _ref_run_cell(config, rep, tau):
+    """All rows of one (repetition, tau) sweep cell. Deterministic."""
+    data = _ref_load_data(config)
+    spec = FairnessSpec(config.criterion, config.loss, tau)
+    train_clean, test_clean, seed = _ref_split(data, config, rep)
+    corrupted = inject_ccn(train_clean, CCNNoise(config.rho_plus, config.rho_minus),
+                           _ref_inject_seed(config, rep))
+    rows = []
+
+    def record(method, rho_pair, runner):
+        base = {"method": method, "tau": tau,
+                "tau_prime": None,
+                "rho_plus_hat": rho_pair[0] if rho_pair else None,
+                "rho_minus_hat": rho_pair[1] if rho_pair else None}
+        try:
+            model, tau_prime = runner()
+            base["tau_prime"] = tau_prime
+            rows.extend(_ref_evaluate(model, spec, train_clean, test_clean,
+                                      base, seed, rep))
+        except FairnoiseError as exc:
+            warnings.warn(f"sweep cell {method} tau={tau} rep={rep} failed: {exc}",
+                          FairnoiseWarning, stacklevel=2)
+            for split_name in ("train", "test"):
+                rows.append(ResultRow(split=split_name, fairness_violation=None,
+                                      error=None, seed=seed, repetition=rep,
+                                      **base))
+
+    for method in config.methods:
+        if method == "nocor":
+            record(method, None,
+                   lambda: (train_fair(train_clean, spec, config.train), None))
+        elif method == "cor":
+            record(method, None,
+                   lambda: (train_fair(corrupted, spec, config.train), None))
+        elif method == "cor_scale":
+            for pair in _ref_rate_pairs(config, corrupted):
+                def scale_runner(pair=pair):
+                    model = train_fair_noisy(corrupted, spec, CCNNoise(*pair),
+                                             config.train)
+                    return model, model.trace.tau
+                record(method, pair, scale_runner)
+        else:
+            for pair in _ref_rate_pairs(config, corrupted):
+                def denoise_runner(pair=pair):
+                    cleaned, _ = denoise_ccn(corrupted, CCNNoise(*pair),
+                                             config.estimator)
+                    return train_fair(cleaned, spec, config.train), None
+                record(method, pair, denoise_runner)
+    return rows
+
+
+def _ref_run_sweep(config):
+    """The sequential branch of the old run_sweep."""
+    tasks = [(rep, tau) for rep in range(config.repetitions)
+             for tau in config.tau_grid]
+    rows = []
+    for rep, tau in tasks:
+        rows.extend(_ref_run_cell(config, rep, tau))
+    return rows
+
+
+def _quiet(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FairnoiseWarning)
+        return fn(*args, **kwargs)
+
+
+NOISE_MODES = {
+    "known": {},
+    "estimate": {"noise_mode": "estimate"},
+    "rho_hat_sweep": {"noise_mode": "rho_hat_sweep",
+                      "rho_hat_grid": ((0.1, 0.1), (0.05, 0.25))},
+}
+
+
+def _no_apparent_a0_in_train_csv(path, n=20, base_seed=1):
+    """A CSV whose train split (80%, split seed ``base_seed``) holds only
+    A=1 rows: every training and every rate estimate on it fails."""
+    order = np.random.default_rng(base_seed).permutation(n)
+    a = np.ones(n, dtype=int)
+    a[order[int(0.8 * n):]] = 0
+    rng = np.random.default_rng(5)
+    write_csv(Dataset(rng.normal(0, 1, (n, 2)), a, rng.integers(0, 2, n)), path)
+
+
+class TestPerMethodRunner:
+    @pytest.mark.parametrize("mode", sorted(NOISE_MODES))
+    def test_rows_match_per_tau_reference(self, mode):
+        cfg = small_config(methods=METHODS, **NOISE_MODES[mode])
+        want = sorted(_quiet(_ref_run_sweep, cfg), key=_sort_key)
+        pairs = len(cfg.rho_hat_grid) or 1
+        # repetitions x taus x splits x (nocor, cor, one cor_scale and one
+        # denoise per rho-hat pair), all evaluated
+        assert len(want) == 2 * 2 * 2 * (2 + 2 * pairs)
+        assert all(r.fairness_violation is not None for r in want)
+        for jobs in (1, 2):
+            got = _quiet(run_sweep, cfg, jobs=jobs)
+            assert sorted(got, key=_sort_key) == want
+
+    def test_failed_cells_match_per_tau_reference(self, tmp_path):
+        # known rates: every training and every denoise fails
+        p = tmp_path / "d.csv"
+        _no_apparent_a0_in_train_csv(p)
+        cfg = ExperimentConfig(csv_path=str(p), rho_plus=0.0, rho_minus=0.0,
+                               tau_grid=(0.05, 0.1), repetitions=1, base_seed=1,
+                               train=FAST_TRAIN)
+        want = sorted(_quiet(_ref_run_sweep, cfg), key=_sort_key)
+        assert len(want) == 4 * 2 * 2  # methods x taus x splits, all empty
+        assert all(r.fairness_violation is None for r in want)
+        assert sorted(_quiet(run_sweep, cfg), key=_sort_key) == want
+
+    def test_tau_independent_work_runs_once(self, monkeypatch):
+        from fairnoise import bench
+        calls = {"_load_data": 0, "denoise_ccn": 0, "estimate_ccn_rates": 0}
+
+        def counting(name):
+            original = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bench, name, counting(name))
+        cfg = small_config(methods=METHODS, **NOISE_MODES["rho_hat_sweep"])
+        _quiet(run_sweep, cfg)
+        assert calls == {"_load_data": 1, "denoise_ccn": 2 * 2,
+                         "estimate_ccn_rates": 0}
+        for name in calls:
+            calls[name] = 0
+        cfg = small_config(methods=METHODS, **NOISE_MODES["estimate"])
+        _quiet(run_sweep, cfg)
+        # one estimate per (repetition, noise-consuming method)
+        assert calls == {"_load_data": 1, "denoise_ccn": 2,
+                         "estimate_ccn_rates": 2 * 2}
+
+    def test_failed_rate_estimate_leaves_empty_rows(self, tmp_path):
+        p = tmp_path / "d.csv"
+        _no_apparent_a0_in_train_csv(p)
+        cfg = ExperimentConfig(csv_path=str(p), rho_plus=0.0, rho_minus=0.0,
+                               noise_mode="estimate",
+                               methods=("cor_scale", "denoise"),
+                               tau_grid=(0.05, 0.1), repetitions=1, base_seed=1,
+                               train=FAST_TRAIN)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = run_sweep(cfg)
+        assert len(rows) == 2 * 2 * 2  # methods x taus x splits
+        assert all(r.fairness_violation is None and r.error is None
+                   and r.tau_prime is None and r.rho_plus_hat is None
+                   and r.rho_minus_hat is None for r in rows)
+        messages = sorted(str(w.message) for w in caught
+                          if issubclass(w.category, FairnoiseWarning))
+        assert messages == [
+            f"sweep cell {m} rate estimate rep=0 failed: both apparent groups "
+            "must be present" for m in ("cor_scale", "denoise")]

@@ -1,5 +1,7 @@
 """Metrics and data-model tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,19 @@ class TestDataModel:
             data.sensitive = np.array([1, 1])
         with pytest.raises(ValueError):
             data.features[0, 0] = 5.0
+
+    def test_dataset_pickle_round_trip(self):
+        data = Dataset(np.array([[0.5, -1.0], [2.0, 3.25], [1e-300, 7.0]]),
+                       [0, 1, 1], [1, 0, 1])
+        back = pickle.loads(pickle.dumps(data))
+        for name in ("features", "sensitive", "target"):
+            want, got = getattr(data, name), getattr(back, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        with pytest.raises(AttributeError):
+            back.sensitive = np.array([1, 1, 1])
+        with pytest.raises(ValueError):
+            back.features[0, 0] = 5.0
 
     def test_from_examples_roundtrip(self):
         examples = [LabeledExample((1.0, 2.0), 0, 1),
