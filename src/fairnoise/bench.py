@@ -62,6 +62,8 @@ class SyntheticConfig:
             raise ValidationError("variance must be > 0")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         object.__setattr__(self, "means", tuple(tuple(float(x) for x in m)
                                                 for m in self.means))
         object.__setattr__(self, "proportions", tuple(float(x) for x in p))
@@ -272,12 +274,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.synthetic is None) == (self.csv_path is None):
             raise ValidationError("exactly one data source must be set")
-        if not self.tau_grid or any(t < 0 for t in self.tau_grid):
+        if not self.tau_grid or any(not t >= 0 for t in self.tau_grid):
             raise ValidationError("tau_grid must be nonempty with taus >= 0")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValidationError(f"methods must be a nonempty subset of {METHODS}")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ValidationError("base_seed must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError("train_fraction must lie in (0, 1)")
         if self.noise_mode not in ("known", "estimate", "rho_hat_sweep"):

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error (bad flags or out-of-range
-parameters), 2 data error, 3 numerical failure. All randomness flows from
-explicit --seed flags; human summaries go to standard output while
-machine-readable tables go to files.
+parameters), 2 data error, 3 numerical failure. All randomness is seeded:
+``corrupt --seed`` and the sweep's ``base_seed`` and ``synth_seed`` config
+keys. Human summaries go to standard output while machine-readable tables
+go to files.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bench, sweepconfig
-from .core import FairnessSpec, accuracy_risk, ddp, deo
+from .core import FairnessSpec, accuracy_risk, ddp, deo, disparity
 from .errors import (DataError, FairnoiseError, NumericalError, SchemaError,
                      ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
@@ -133,6 +134,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_dp_calibrate(args):
+    if not 0.0 < args.base_rate < 1.0:
+        raise ValidationError("--base-rate must lie in (0, 1)")
     if args.epsilon is not None:
         eps = args.epsilon
         rho = dp_rho_for_epsilon(eps)
@@ -181,8 +184,9 @@ def _cmd_train(args):
               f"({trace.noise_used[0]:.4f}, {trace.noise_used[1]:.4f})")
         print(f"scaled tolerance tau' = {trace.tau:.6f} "
               f"(scale {trace.tolerance_scale:.4f})")
-    print(f"final train violation = {trace.violations[-1]:+.4f}, "
-          f"risk = {trace.risks[-1]:.4f}, feasible = {trace.feasible}")
+    print(f"saved model on the training data: violation = "
+          f"{disparity(data, model, spec):.6f}, risk = "
+          f"{accuracy_risk(data, model):.6f}, feasible = {trace.feasible}")
     print(f"wrote {args.model_out}")
     return 0
 

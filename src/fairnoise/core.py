@@ -271,7 +271,7 @@ class FairnessSpec:
     def __post_init__(self):
         if not isinstance(self.criterion, Criterion):
             raise ValidationError("criterion must be a Criterion")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ValidationError("tolerance must be >= 0")
         if self.fairness_loss is None:
             object.__setattr__(self, "fairness_loss", DEFAULT_LOSS[self.criterion])

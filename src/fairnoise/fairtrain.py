@@ -31,7 +31,8 @@ from .estimation import EstimatorConfig, estimate_ccn_rates, estimate_eo_rates
 from .noise import (CCNNoise, EOConditionalNoise, MCNoise,
                     ccn_to_mc_from_corrupted, mc_to_eo, scale_tolerance)
 
-MODEL_MAGIC = "fairnoise-model 1"
+MODEL_MAGIC = "fairnoise-model 2"
+MODEL_MAGIC_V1 = "fairnoise-model 1"
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.outer_iterations < 1 or self.base_iterations < 1:
             raise ValidationError("iteration counts must be >= 1")
-        if self.dual_step <= 0 or self.base_step <= 0:
+        if not (self.dual_step > 0 and self.base_step > 0):
             raise ValidationError("step sizes must be > 0")
-        if self.dual_bound <= 0:
+        if not self.dual_bound > 0:
             raise ValidationError("dual_bound must be > 0")
-        if self.regularization < 0:
+        if not self.regularization >= 0:
             raise ValidationError("regularization must be >= 0")
-        if self.boundary_margin < 0 or self.feasibility_slack < 0:
+        if not (self.boundary_margin >= 0 and self.feasibility_slack >= 0):
             raise ValidationError("margins must be >= 0")
 
 
@@ -88,50 +89,19 @@ class TrainingTrace:
     noise_used: tuple = None
 
 
-class FairClassifier:
-    """Weighted ensemble of linear scorers with sign-threshold prediction.
+class FairClassifier(LinearScorer):
+    """The trained linear scorer, with sign-threshold prediction and the
+    diagnostics of the training run that produced it."""
 
-    The ensemble score is the weighted average of member scores, which for
-    linear members collapses to a single linear scorer; members are kept
-    so the model file reproduces the training output exactly.
-    """
+    __slots__ = ("trace",)
 
-    __slots__ = ("member_weights", "member_coefs", "member_intercepts", "trace")
-
-    def __init__(self, member_weights, member_coefs, member_intercepts, trace=None):
-        w = np.array(member_weights, dtype=float)
-        c = np.array(member_coefs, dtype=float)
-        b = np.array(member_intercepts, dtype=float)
-        if w.ndim != 1 or c.ndim != 2 or b.ndim != 1:
-            raise ValidationError("bad ensemble shapes")
-        if len(w) != len(c) or len(w) != len(b) or len(w) == 0:
-            raise ValidationError("ensemble member counts differ")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ValidationError("member weights must be nonnegative and sum to 1")
-        for arr in (w, c, b):
-            arr.setflags(write=False)
-        object.__setattr__(self, "member_weights", w)
-        object.__setattr__(self, "member_coefs", c)
-        object.__setattr__(self, "member_intercepts", b)
+    def __init__(self, coef, intercept, trace=None):
+        super().__init__(coef, intercept)
         object.__setattr__(self, "trace", trace)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FairClassifier is immutable")
 
     @property
     def dimension(self):
-        return self.member_coefs.shape[1]
-
-    @property
-    def n_members(self):
-        return len(self.member_weights)
-
-    def as_linear_scorer(self):
-        return LinearScorer(self.member_weights @ self.member_coefs,
-                            float(self.member_weights @ self.member_intercepts))
-
-    def scores(self, X):
-        return self.as_linear_scorer().scores(X)
+        return len(self.coef)
 
     def predict(self, X):
         return predictions(self, X)
@@ -222,7 +192,7 @@ def _presolve(red, tau_int, config):
     return sgn * hi
 
 
-def _train(data, criterion, loss, tau, config, trace_extra=None):
+def _train(data, criterion, loss, tau, config):
     if len(data) == 0:
         raise EmptySlice("cannot train on empty data")
     m0, m1 = _criterion_masks(data, criterion)
@@ -280,21 +250,15 @@ def _train(data, criterion, loss, tau, config, trace_extra=None):
     else:
         selected = "average"
 
-    if selected == "average":
-        weights = np.full(T, 1.0 / T)
-    else:
-        coefs = coefs[selected:selected + 1]
-        intercepts = intercepts[selected:selected + 1]
-        weights = np.ones(1)
-
     trace = TrainingTrace(tau=tau, tau_internal=tau_int, violations=viols,
                           risks=risks, lambda_plus=lams_p, lambda_minus=lams_m,
                           gaps=gaps, best_gaps=best_gaps, selected=selected,
                           feasible=feasible)
-    if trace_extra:
-        for key, val in trace_extra.items():
-            setattr(trace, key, val)
-    return FairClassifier(weights, coefs, intercepts, trace)
+    if selected != "average":
+        return FairClassifier(coefs[selected], intercepts[selected], trace)
+    # The uniform average of linear iterates scores as one linear scorer.
+    weights = np.full(T, 1.0 / T)
+    return FairClassifier(weights @ coefs, float(weights @ intercepts), trace)
 
 
 def train_fair(data, spec, config=TrainConfig()):
@@ -377,11 +341,12 @@ def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
         noise_used = (resolved.alpha, resolved.beta)
     else:
         noise_used = (resolved.alpha_prime, resolved.beta_prime)
-    extra = {"tau_original": spec.tolerance,
-             "tolerance_scale": 1.0 - resolved.rate_sum,
-             "noise_used": noise_used}
-    return _train(data_corrupted, spec.criterion, spec.fairness_loss,
-                  tau_prime, config, trace_extra=extra)
+    model = _train(data_corrupted, spec.criterion, spec.fairness_loss,
+                   tau_prime, config)
+    model.trace.tau_original = spec.tolerance
+    model.trace.tolerance_scale = 1.0 - resolved.rate_sum
+    model.trace.noise_used = noise_used
+    return model
 
 
 def reduction_constraint_value(data, scorer, criterion=Criterion.DEMOGRAPHIC_PARITY):
@@ -419,15 +384,12 @@ def _fmt(x):
 
 
 def save_model(classifier, path):
-    """Write the ensemble as plain text (17 significant digits per value);
-    loading reproduces predictions bit-for-bit."""
-    lines = [MODEL_MAGIC,
-             f"dimension {classifier.dimension}",
-             f"members {classifier.n_members}"]
-    for w, b, coef in zip(classifier.member_weights,
-                          classifier.member_intercepts,
-                          classifier.member_coefs):
-        lines.append(" ".join([_fmt(w), _fmt(b)] + [_fmt(c) for c in coef]))
+    """Write the scorer as plain text: the magic line, ``dimension <d>`` and
+    one line ``<intercept> <coef_1> ... <coef_d>``, 17 significant digits
+    per value, so loading reproduces the scores bit-for-bit."""
+    values = [classifier.intercept, *classifier.coef]
+    lines = [MODEL_MAGIC, f"dimension {classifier.dimension}",
+             " ".join(_fmt(x) for x in values)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -439,24 +401,39 @@ def _header_count(lines, index, name):
     return int(parts[1])
 
 
+def _parse_rows(lines, width):
+    try:
+        rows = [[float(p) for p in ln.split()] for ln in lines]
+    except ValueError:
+        raise ValidationError("model values must be numbers") from None
+    if any(len(row) != width for row in rows):
+        raise ValidationError("model line has a wrong coefficient count")
+    if not np.isfinite(rows).all():
+        raise ValidationError("model file holds a non-finite value")
+    return rows
+
+
 def load_model(path):
     """Read a model file written by ``save_model``; a malformed file is a
-    ``ValidationError``."""
+    ``ValidationError``. A version 1 file (a weighted ensemble of linear
+    members) loads as the weighted average of its members."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != MODEL_MAGIC:
+    if not lines or lines[0] not in (MODEL_MAGIC, MODEL_MAGIC_V1):
         raise ValidationError(f"not a fairnoise model file: {path}")
     dim = _header_count(lines, 1, "dimension")
+    if lines[0] == MODEL_MAGIC:
+        if len(lines) != 3:
+            raise ValidationError("model file needs exactly one scorer line")
+        row = _parse_rows(lines[2:], 1 + dim)[0]
+        return FairClassifier(row[1:], row[0])
     m = _header_count(lines, 2, "members")
-    if len(lines) != 3 + m:
+    if m == 0 or len(lines) != 3 + m:
         raise ValidationError("model file has a wrong member count")
-    try:
-        members = [[float(p) for p in ln.split()] for ln in lines[3:]]
-    except ValueError:
-        raise ValidationError("model members must hold numbers only") from None
-    if any(len(row) != 2 + dim for row in members):
-        raise ValidationError("model member has a wrong coefficient count")
-    if not np.isfinite(members).all():
-        raise ValidationError("model file holds a non-finite value")
-    return FairClassifier([row[0] for row in members], [row[2:] for row in members],
-                          [row[1] for row in members])
+    members = _parse_rows(lines[3:], 2 + dim)
+    w = np.array([row[0] for row in members])
+    b = np.array([row[1] for row in members])
+    c = np.array([row[2:] for row in members])
+    if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+        raise ValidationError("member weights must be nonnegative and sum to 1")
+    return FairClassifier(w @ c, float(w @ b))

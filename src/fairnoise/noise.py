@@ -99,6 +99,8 @@ def inject_ccn(data, noise, seed):
     """
     if not isinstance(noise, CCNNoise):
         raise ValidationError("noise must be a CCNNoise")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     u = rng.random(len(data))
     a = data.sensitive
@@ -211,7 +213,7 @@ def mc_to_eo(noise, p_y1_given_a1, p_y1_given_a0):
 def scale_tolerance(tau, noise):
     """The scaled tolerance tau * (1 - alpha - beta) that makes the fairness
     constraint on corrupted data equivalent to the clean constraint."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValidationError("tau must be >= 0")
     if isinstance(noise, (MCNoise, EOConditionalNoise)):
         return tau * (1.0 - noise.rate_sum)

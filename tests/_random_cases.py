@@ -40,6 +40,16 @@ def random_scorer(rng, dim):
     return LinearScorer(rng.normal(0.0, 1.0, dim), float(rng.normal(0.0, 0.5)))
 
 
+def v1_model_text(weights, coefs, intercepts):
+    """A version 1 (weighted ensemble) model file: a ``members`` count, then
+    one ``<weight> <intercept> <coefs>`` line per member."""
+    lines = ["fairnoise-model 1", f"dimension {len(coefs[0])}",
+             f"members {len(weights)}"]
+    lines += [" ".join(repr(float(x)) for x in (w, b, *c))
+              for w, b, c in zip(weights, intercepts, coefs)]
+    return "\n".join(lines) + "\n"
+
+
 FILE_MUTATIONS = ("truncate", "token", "drop_column", "bad_byte")
 
 

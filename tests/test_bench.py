@@ -148,6 +148,9 @@ class TestSynthGenerate:
         with pytest.raises(ValidationError):
             SyntheticConfig(means=((0.0,),) * 3, proportions=(0.25,) * 4,
                             variance=1.0, n=10, seed=0)
+        with pytest.raises(ValidationError, match="seed"):
+            SyntheticConfig(means=((0.0,),) * 4, proportions=(0.25,) * 4,
+                            variance=1.0, n=10, seed=-1)
 
 
 class TestOracles:
@@ -397,7 +400,11 @@ class TestConfigSchema:
     @pytest.mark.parametrize("mapping", [
         {"data": "parquet"}, {"data": "csv"}, {"csv_path": "x.csv"},
         {"select_best": "maybe"}, {"criterion": "eq"}, {"loss": "hinge"},
-        {"rho_hat_grid": "0.1"}, {"synth_n": "many"}, {"nonsense": "1"}])
+        {"rho_hat_grid": "0.1"}, {"synth_n": "many"}, {"nonsense": "1"},
+        {"base_seed": "-5"}, {"synth_seed": "-1"}, {"tau_grid": "0.1,nan"},
+        {"dual_step": "nan"}, {"base_step": "nan"}, {"dual_bound": "nan"},
+        {"regularization": "nan"}, {"boundary_margin": "nan"},
+        {"feasibility_slack": "nan"}])
     def test_bad_mapping_rejected(self, mapping):
         from fairnoise.sweepconfig import build_experiment_config
         with pytest.raises(ValidationError):

@@ -1,9 +1,12 @@
 """CLI surface tests: subcommand behavior and the exit-code contract."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from _random_cases import FILE_MUTATIONS, mutate_file_text
+from _random_cases import FILE_MUTATIONS, mutate_file_text, v1_model_text
 from fairnoise.bench import (anchor_synthetic_config,
                              disparity_synthetic_config, load_csv,
                              read_results, synth_generate, write_csv)
@@ -60,6 +63,13 @@ class TestCorrupt:
                    "--rho-minus", "0.5"])
         assert rc == 1
 
+    def test_negative_seed_exits_1(self, csv_path, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["corrupt", "--input", str(csv_path), "--output", str(out),
+                     "--rho-plus", "0.1", "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDpCalibrate:
     def test_epsilon_to_rho(self, capsys):
@@ -77,6 +87,12 @@ class TestDpCalibrate:
 
     def test_requires_exactly_one_flag(self):
         assert main(["dp-calibrate"]) == 1
+
+    @pytest.mark.parametrize("base_rate", ["0", "1", "1.5", "nan"])
+    def test_out_of_range_base_rate_exits_1(self, capsys, base_rate):
+        assert main(["dp-calibrate", "--rho", "0.15",
+                     "--base-rate", base_rate]) == 1
+        assert "--base-rate" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -112,6 +128,28 @@ class TestTrain:
         assert "iteration counts must be >= 1" in capsys.readouterr().err
         assert not model_out.exists()
 
+    def test_nan_tau_exits_1(self, csv_path, tmp_path):
+        model_out = tmp_path / "m.txt"
+        assert main(["train", "--input", str(csv_path), "--tau", "nan",
+                     "--model-out", str(model_out)]) == 1
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("flags", [["--select-best"], []])
+    def test_summary_reports_the_saved_model(self, csv_path, tmp_path, capsys,
+                                             flags):
+        model_out = tmp_path / "m.txt"
+        assert main(["train", "--input", str(csv_path), "--tau", "0.02",
+                     "--model-out", str(model_out), "--outer-iterations", "8",
+                     "--base-iterations", "25", *flags]) == 0
+        printed = re.search(r"violation = ([-+0-9.]+), risk = ([0-9.]+)",
+                            capsys.readouterr().out)
+        assert main(["metrics", "--input", str(csv_path),
+                     "--model", str(model_out)]) == 0
+        metrics = dict(line.split(" = ") for line in
+                       capsys.readouterr().out.strip().splitlines())
+        assert float(printed[1]) == float(metrics["ddp"])
+        assert float(printed[2]) == float(metrics["error"])
+
 
 class TestEstimate:
     def test_zero_noise_fixture(self, tmp_path, capsys):
@@ -142,12 +180,26 @@ class TestMetrics:
         assert "ddp = " in printed and "error = " in printed
         assert out.exists()
 
+    def test_version_1_model_file(self, csv_path, capsys):
+        # The committed file was written by the version 1 (ensemble) writer
+        # from a training on this CSV; the values are what that version
+        # printed for it.
+        model = Path(__file__).parent / "data" / "model_v1.txt"
+        assert main(["metrics", "--input", str(csv_path),
+                     "--model", str(model)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "ddp = 0.038442", "deo = 0.386733", "error = 0.183750"]
 
-def _save_random_model(rng, path, dimension, members=3):
+
+def _save_random_model(rng, path, dimension):
+    save_model(FairClassifier(rng.normal(size=dimension), rng.normal()), path)
+
+
+def _write_random_v1_model(rng, path, dimension, members=3):
     weights = rng.random(members) + 0.1
-    save_model(FairClassifier(weights / weights.sum(),
-                              rng.normal(size=(members, dimension)),
-                              rng.normal(size=members)), path)
+    path.write_text(v1_model_text(weights / weights.sum(),
+                                  rng.normal(size=(members, dimension)),
+                                  rng.normal(size=members)))
 
 
 class TestMalformedInputs:
@@ -155,7 +207,9 @@ class TestMalformedInputs:
         p = tmp_path / "m.txt"
         for text in ("fairnoise-model 1\ndimension x\nmembers 1\n0 0 0 0 0 0\n",
                      "fairnoise-model 1\ndimension 4\nmembers y\n",
-                     "fairnoise-model 1\n"):
+                     "fairnoise-model 1\n",
+                     "fairnoise-model 1\ndimension 4\nmembers 2\n"
+                     "0.5 0 0 0 0 0\n0.6 0 0 0 0 0\n"):
             p.write_text(text)
             assert main(["metrics", "--input", str(csv_path),
                          "--model", str(p)]) == 1
@@ -191,20 +245,26 @@ class TestExitCodeFuzz:
         csv_ok, model_ok = tmp_path / "ok.csv", tmp_path / "ok.txt"
         write_csv(data, csv_ok)
         _save_random_model(rng, model_ok, data.dimension)
-        csv_text, model_text = csv_ok.read_text(), model_ok.read_text()
+        csv_text, model_texts = csv_ok.read_text(), {"model": model_ok.read_text()}
+        _write_random_v1_model(rng, model_ok, data.dimension)
+        model_texts["model_v1"] = model_ok.read_text()
         csv_bad, model_bad = tmp_path / "bad.csv", tmp_path / "bad.txt"
-        cases = [(target, kind) for target in ("csv", "model")
+        cases = [(target, kind) for target in ("csv", "model", "model_v1")
                  for kind in FILE_MUTATIONS + ("dimension",) for _ in range(6)]
         for target, kind in cases:
+            model_text = model_texts.get(target, model_texts["model"])
             csv_bad.write_bytes(csv_text.encode())
             model_bad.write_bytes(model_text.encode())
             if kind == "dimension" and target == "csv":
                 kept = int(rng.integers(0, data.dimension))
                 write_csv(Dataset(data.features[:, :kept], data.sensitive,
                                   data.target), csv_bad)
-            elif kind == "dimension":
+            elif kind == "dimension" and target == "model":
                 _save_random_model(rng, model_bad,
                                    data.dimension + int(rng.choice([-1, 1])))
+            elif kind == "dimension":
+                _write_random_v1_model(rng, model_bad,
+                                       data.dimension + int(rng.choice([-1, 1])))
             elif target == "csv":
                 csv_bad.write_bytes(mutate_file_text(rng, csv_text, ",", kind))
             else:
@@ -213,6 +273,69 @@ class TestExitCodeFuzz:
                          ["estimate", "--input", str(csv_bad)]):
                 rc = main(argv)
                 assert rc in (0, 1, 2, 3), (target, kind, argv[0], rc)
+        capsys.readouterr()
+
+    @pytest.mark.filterwarnings("ignore::fairnoise.errors.FairnoiseWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_flag_values_never_raise(self, tmp_path, capsys):
+        """Every numeric flag or --set value of corrupt, train, dp-calibrate
+        and sweep takes each value of a hostile pool in turn, the others
+        seeded valid values. Sizes and iteration counts come only from small
+        ranges, and --jobs stays 1."""
+        rng = np.random.default_rng(99)
+        pool = ("nan", "inf", "-inf", "-1", "0", "1e999")
+        csv = tmp_path / "tiny.csv"
+        write_csv(synth_generate(disparity_synthetic_config(n=80, seed=4)), csv)
+        out, model = str(tmp_path / "out.csv"), str(tmp_path / "m.txt")
+
+        def rate():
+            return str(rng.uniform(0.0, 0.3))
+
+        def small_int(lo, hi):
+            return str(int(rng.integers(lo, hi + 1)))
+
+        def corrupt(values):
+            return ["corrupt", "--input", str(csv), "--output", out,
+                    *[f"--{k}={v}" for k, v in values.items()]]
+
+        def train(values):
+            return ["train", "--input", str(csv), "--model-out", model,
+                    "--outer-iterations", small_int(1, 3),
+                    "--base-iterations", small_int(1, 5),
+                    *[f"--{k}={v}" for k, v in values.items()]]
+
+        def dp_calibrate(values):
+            return ["dp-calibrate", *[f"--{k}={v}" for k, v in values.items()]]
+
+        def sweep(values):
+            fixed = {"synth_n": small_int(20, 120), "repetitions": "1",
+                     "methods": "nocor,cor_scale",
+                     "outer_iterations": small_int(1, 2), "base_iterations": "3",
+                     "presolve_iterations": "2", "presolve_base_iterations": "3"}
+            return ["sweep", "--out", out, "--jobs", "1",
+                    *[arg for k, v in {**fixed, **values}.items()
+                      for arg in ("--set", f"{k}={v}")]]
+
+        commands = [
+            (corrupt, lambda: {"rho-plus": rate(), "rho-minus": rate(),
+                               "seed": small_int(0, 99)}),
+            (train, lambda: {"tau": rate(), "rho-plus": rate(),
+                             "rho-minus": rate()}),
+            (dp_calibrate, lambda: {"epsilon": str(rng.uniform(0.1, 3.0)),
+                                    "base-rate": str(rng.uniform(0.1, 0.9))}),
+            (dp_calibrate, lambda: {"rho": rate(),
+                                    "base-rate": str(rng.uniform(0.1, 0.9))}),
+            (sweep, lambda: {"tau_grid": rate(), "base_seed": small_int(0, 99),
+                             "synth_seed": small_int(0, 99), "rho_plus": rate(),
+                             "rho_minus": rate(),
+                             "train_fraction": str(rng.uniform(0.5, 0.9)),
+                             "synth_variance": str(rng.uniform(0.5, 2.0))}),
+        ]
+        for make, valid in commands:
+            for key in valid():
+                for bad in pool:
+                    argv = make({**valid(), key: bad})
+                    assert main(argv) in (0, 1, 2, 3), argv
         capsys.readouterr()
 
 

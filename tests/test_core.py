@@ -252,5 +252,8 @@ class TestFairnessSpec:
             FairnessSpec(Criterion.DEMOGRAPHIC_PARITY, ZO, 0.1)
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValidationError):
-            FairnessSpec(Criterion.DEMOGRAPHIC_PARITY, tolerance=-0.1)
+        for tolerance in (-0.1, float("nan")):
+            with pytest.raises(ValidationError):
+                FairnessSpec(Criterion.DEMOGRAPHIC_PARITY, tolerance=tolerance)
+        # +inf means unconstrained
+        FairnessSpec(Criterion.DEMOGRAPHIC_PARITY, tolerance=float("inf"))

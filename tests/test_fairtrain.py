@@ -1,6 +1,8 @@
 """Constrained-trainer tests: boundary behavior, the noise-aware wrapper,
 reduction-constraint conversions and model persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,7 @@ from fairnoise.core import (ConstantScorer, Criterion, Dataset, FairnessLoss,
                             deo, predictions)
 from fairnoise.errors import (EmptySlice, InfeasibleWarning, OutOfRangeWeight,
                               ValidationError)
-from fairnoise.fairtrain import (FairClassifier, TrainConfig,
-                                 _clean_conditionals_from_corrupted,
+from fairnoise.fairtrain import (TrainConfig, _clean_conditionals_from_corrupted,
                                  conservative_half_tolerance, load_model,
                                  mean_diff_from_reduction,
                                  reduction_constraint_value, save_model,
@@ -21,7 +22,8 @@ from fairnoise.fairtrain import (FairClassifier, TrainConfig,
 from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
                              corrupt_population, inject_ccn, scale_tolerance)
 
-from _random_cases import random_dataset, random_population, random_scorer
+from _random_cases import (random_dataset, random_population, random_scorer,
+                           v1_model_text)
 
 DP = Criterion.DEMOGRAPHIC_PARITY
 EO = Criterion.EQUAL_OPPORTUNITY
@@ -78,9 +80,9 @@ class TestTrainFair:
         spec = FairnessSpec(DP, tolerance=0.1)
         a = train_fair(synth_data, spec, FAST)
         b = train_fair(synth_data, spec, FAST)
-        assert np.array_equal(a.member_coefs, b.member_coefs)
-        assert np.array_equal(a.member_intercepts, b.member_intercepts)
-        assert np.array_equal(a.member_weights, b.member_weights)
+        assert np.array_equal(a.coef, b.coef)
+        assert a.intercept == b.intercept
+        assert a.trace.selected == b.trace.selected == "average"
 
     def test_best_gap_trace_non_increasing(self, synth_data):
         model = train_fair(synth_data, FairnessSpec(DP, tolerance=0.1), FAST)
@@ -96,7 +98,9 @@ class TestTrainFair:
                              presolve_base_iterations=60, select_best=True)
         spec = FairnessSpec(DP, tolerance=0.1)
         model = train_fair(synth_data, spec, config)
-        assert model.n_members == 1
+        selected = model.trace.selected
+        assert isinstance(selected, int)
+        assert accuracy_risk(synth_data, model) == model.trace.risks[selected]
         assert ddp(synth_data, model) <= 0.1 + config.feasibility_slack
 
     def test_infeasible_warns_and_returns_least_violating(self, synth_data):
@@ -109,7 +113,10 @@ class TestTrainFair:
         with pytest.warns(InfeasibleWarning):
             model = train_fair(synth_data, FairnessSpec(DP, tolerance=0.0),
                                config)
-        assert model.n_members == 1
+        viols = model.trace.violations
+        assert model.trace.selected == int(np.argmin(np.abs(viols)))
+        assert (accuracy_risk(synth_data, model)
+                == model.trace.risks[model.trace.selected])
         assert not model.trace.feasible
 
 
@@ -118,8 +125,8 @@ class TestTrainFairNoisy:
         spec = FairnessSpec(DP, tolerance=0.1)
         plain = train_fair(synth_data, spec, FAST)
         noisy = train_fair_noisy(synth_data, spec, MCNoise(0.0, 0.0), FAST)
-        assert np.array_equal(plain.member_coefs, noisy.member_coefs)
-        assert np.array_equal(plain.member_intercepts, noisy.member_intercepts)
+        assert np.array_equal(plain.coef, noisy.coef)
+        assert plain.intercept == noisy.intercept
 
     def test_scaled_tolerance_recorded(self, synth_data):
         spec = FairnessSpec(DP, tolerance=0.2)
@@ -310,10 +317,12 @@ class TestModelPersistence:
         model = train_fair(synth_data, FairnessSpec(DP, tolerance=0.1), FAST)
         path = tmp_path / "model.txt"
         save_model(model, path)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["fairnoise-model 2", f"dimension {synth_data.dimension}"]
+        assert len(lines) == 3
         loaded = load_model(path)
-        assert np.array_equal(loaded.member_weights, model.member_weights)
-        assert np.array_equal(loaded.member_coefs, model.member_coefs)
-        assert np.array_equal(loaded.member_intercepts, model.member_intercepts)
+        assert np.array_equal(loaded.coef, model.coef)
+        assert loaded.intercept == model.intercept
         X = np.random.default_rng(8).normal(0, 2, (500, synth_data.dimension))
         assert np.array_equal(loaded.scores(X), model.scores(X))
         assert np.array_equal(loaded.predict(X), model.predict(X))
@@ -326,15 +335,58 @@ class TestModelPersistence:
 
 
 class TestFairClassifierInvariants:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            FairClassifier([0.5, 0.6], np.zeros((2, 2)), [0.0, 0.0])
+    """Version 1 model files hold a weighted ensemble; loading checks the
+    weights and collapses the members into one linear scorer."""
 
-    def test_ensemble_score_is_weighted_average(self):
-        clf = FairClassifier([0.25, 0.75], [[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0])
+    def test_weights_must_sum_to_one(self, tmp_path):
+        path = tmp_path / "v1.txt"
+        for weights in ([0.5, 0.6], [1.5, -0.5]):
+            path.write_text(v1_model_text(weights, [[0.0, 0.0]] * 2, [0.0, 0.0]))
+            with pytest.raises(ValidationError, match="weights"):
+                load_model(path)
+
+    def test_ensemble_score_is_weighted_average(self, tmp_path):
+        path = tmp_path / "v1.txt"
+        path.write_text(v1_model_text([0.25, 0.75], [[1.0, 0.0], [0.0, 2.0]],
+                                      [1.0, -1.0]))
+        clf = load_model(path)
         X = np.array([[2.0, 3.0]])
         want = 0.25 * (2.0 + 1.0) + 0.75 * (6.0 - 1.0)
         assert clf.scores(X)[0] == pytest.approx(want, abs=1e-15)
+        assert np.array_equal(clf.coef, [0.25, 1.5])
+        assert clf.intercept == -0.5
+
+    def test_trained_v1_file_collapses_bitwise(self):
+        # Written by the version 1 writer from a real training (8 averaged
+        # iterates); the expected scorer is what that version computed.
+        path = Path(__file__).parent / "data" / "model_v1.txt"
+        rows = [[float(v) for v in line.split()]
+                for line in path.read_text().splitlines()[3:]]
+        w = np.array([row[0] for row in rows])
+        b = np.array([row[1] for row in rows])
+        C = np.array([row[2:] for row in rows])
+        clf = load_model(path)
+        assert np.array_equal(clf.coef, w @ C)
+        assert clf.intercept == float(w @ b)
+        assert [float(x).hex() for x in clf.coef] == [
+            "0x1.d6233386dae10p-2", "0x1.b24c363a4715cp-4",
+            "-0x1.768767f5678c6p-2", "-0x1.596e301ebd0b1p-5"]
+        assert float(clf.intercept).hex() == "-0x1.6e4bcfad73416p-2"
+
+    @pytest.mark.parametrize("text", [
+        "fairnoise-model 2\ndimension 2\n",
+        "fairnoise-model 2\ndimension 2\n0 1\n",
+        "fairnoise-model 2\ndimension 2\n0 1 2\n0 1 2\n",
+        "fairnoise-model 2\ndimension 2\n0 1 x\n",
+        "fairnoise-model 2\ndimension 2\n0 1 nan\n",
+        "fairnoise-model 2\nmembers 1\n0 1 2\n",
+        "fairnoise-model 1\ndimension 2\nmembers 0\n",
+        "fairnoise-model 3\ndimension 2\n0 1 2\n"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            load_model(path)
 
 
 class TestClassifierAgnosticWrapper:

@@ -96,6 +96,11 @@ class TestInjectCcn:
         assert np.array_equal(a.sensitive, b.sensitive)
         assert not np.array_equal(a.sensitive, c.sensitive)
 
+    def test_negative_seed_rejected(self):
+        data = group_flags_dataset(10, 0.5, 5)
+        with pytest.raises(ValidationError, match="seed"):
+            inject_ccn(data, CCNNoise(0.3, 0.1), -1)
+
 
 class TestInjectPu:
     def test_zero_rate_identity(self):
@@ -322,6 +327,12 @@ class TestScaleTolerance:
     def test_rejects_other_types(self):
         with pytest.raises(ValidationError):
             scale_tolerance(0.1, CCNNoise(0.1, 0.1))
+
+    def test_rejects_negative_and_nan_tau(self):
+        for tau in (-0.1, float("nan")):
+            with pytest.raises(ValidationError):
+                scale_tolerance(tau, MCNoise(0.1, 0.1))
+        assert scale_tolerance(float("inf"), MCNoise(0.1, 0.1)) == float("inf")
 
 
 class TestDpCalibration:
