@@ -1,33 +1,44 @@
-"""Weighted logistic regression by full-batch gradient descent.
+"""Weighted logistic regression by damped Newton (IRLS).
 
 Shared base learner for the fair trainer, the posterior estimator and the
 denoiser. Targets may be soft (in [0, 1]); example weights must be
-nonnegative. The step size is normalised by the standard curvature bound
-0.25 * max_i ||x_i||^2 + reg, so ``lr=1.0`` is a safe default for any
-feature scale.
+nonnegative. The dimension is small (a handful of features plus the
+intercept), so each iteration forms the (d+1)x(d+1) Hessian
+``X~^T diag(w p (1 - p)) X~ + reg`` (``X~`` is ``X`` with an intercept
+column) and solves it exactly; a backtracking (Armijo) line search on the
+weighted cross-entropy makes every accepted step decrease the objective.
+A cold fit reaches a gradient norm of 1e-8 in under ten iterations and a
+warm-started one in two or three, so a fit is an exact best response,
+not a fixed number of descent steps.
 
-The gradient is the hot path of every training (about 10^5 evaluations in
-one default sweep), so the kernel keeps this contract:
+Kernel contract:
 
 - ``sigmoid`` is branch-free: ``e = exp(-|z|)``, then
   ``where(z >= 0, 1, e) / (1 + e)``. That is bit-identical to the masked
   form ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))``
   otherwise, because ``-|z| == z`` exactly for z < 0, and NaN takes the
   second branch in both.
-- ``fit_logistic`` does the same floating-point operations, in the same
-  order, as the plain masked loop; ``tests/test_logit.py`` keeps that loop
-  as the reference and checks bitwise equality.
-- Scratch buffers (the length-n score, the length-(d+1) gradient) are
-  allocated once per fit and written with ``out=``. No state outlives a
-  fit, and the caller's arrays are never written.
-- Each gradient evaluation calls the module-global ``sigmoid`` exactly
-  once, looked up by name at call time, so a wrapper bound to that name
-  sees every gradient.
+- Each iteration evaluates one gradient and calls the module-global
+  ``sigmoid`` exactly once, looked up by name at call time, so a wrapper
+  bound to that name sees every iteration. The line search evaluates the
+  loss as ``softplus(s) - t s`` and never calls ``sigmoid``.
+- The length-n buffers (score, trial score, curvature weight, one
+  Hessian column) are allocated once per fit and written with
+  ``out=``; the Hessian is built one feature column at a time, so no
+  (n, d) temporary exists. No state outlives a fit, and the caller's
+  arrays are never written.
+- Finite input never raises. A singular Hessian (a zero, constant or
+  duplicated column at ``reg = 0``) gets the least-squares, minimum-norm
+  Newton step; when no step length decreases the loss the fit stops where
+  it is.
 """
 
 import math
 
 import numpy as np
+
+_ARMIJO = 1e-4
+_HALVINGS = 40
 
 
 def sigmoid(z):
@@ -40,67 +51,88 @@ def sigmoid(z):
     return p
 
 
-def fit_logistic(X, targets, weights, reg=0.0, lr=1.0, max_iter=200, tol=0.0,
-                 coef0=None, intercept0=0.0, accelerated=False):
+def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
+                 coef0=None, intercept0=0.0):
     """Minimise sum_i w_i * CE(sigmoid(x_i.w + b), t_i) / sum(w) + reg/2 ||w||^2.
 
-    The intercept is not penalised. Returns (coef, intercept, n_iter,
-    grad_norm) where grad_norm is the final gradient norm (used by callers
-    that report convergence). ``accelerated`` switches to Nesterov momentum
-    with gradient restarts (used by the posterior estimator, which needs a
-    tight gradient tolerance).
+    The intercept is not penalised. Stops once the gradient norm is at
+    most ``tol``, after ``max_iter`` gradient evaluations, or when the line
+    search finds no decrease. Returns (coef, intercept, n_iter, grad_norm):
+    ``n_iter`` counts gradient evaluations and ``grad_norm`` is the norm of
+    the last one (inf when ``max_iter`` is 0).
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     wn = np.asarray(weights, dtype=float)
     wn = wn / wn.sum()
     t = np.asarray(targets, dtype=float)
+    wt = wn * t
     z = np.zeros(d + 1)
     if coef0 is not None:
         z[:d] = coef0
     z[d] = intercept0
-    row_sq = (X * X).sum(axis=1) + 1.0
-    step = lr / (0.25 * row_sq.max() + reg)
+    coef = z[:d]
 
     XT = X.T
-    score = np.empty(n)
+    score, trial, h, col = (np.empty(n) for _ in range(4))
     g = np.empty(d + 1)
-    g_coef = g[:d]
+    H = np.empty((d + 1, d + 1))
 
-    def grad(v):
-        # writes the gradient at v into g
-        coef = v[:d]
-        np.matmul(X, coef, out=score)
-        np.add(score, v[d], out=score)
+    def loss(s, v):
+        # softplus(s) = log(1 + e^s) = max(s, 0) + log1p(e^-|s|); the same
+        # value as np.logaddexp(0, s), about five times faster
+        np.abs(s, out=col)
+        np.negative(col, out=col)
+        np.exp(col, out=col)
+        np.log1p(col, out=col)
+        f = wn @ col - wt @ s
+        np.maximum(s, 0.0, out=col)
+        return float(f + wn @ col) + 0.5 * reg * float(v[:d] @ v[:d])
+
+    np.matmul(X, coef, out=score)
+    score += z[d]
+    f = loss(score, z)
+    it = 0
+    for it in range(1, max_iter + 1):
         r = sigmoid(score)
+        np.subtract(1.0, r, out=h)
+        h *= r
+        h *= wn
         r -= t
         r *= wn
-        np.matmul(XT, r, out=g_coef)
-        np.add(g_coef, reg * coef, out=g_coef)
+        np.matmul(XT, r, out=g[:d])
+        g[:d] += reg * coef
         g[d] = r.sum()
+        if math.sqrt(g @ g) <= tol:
+            break
 
-    it = 0
-    if not accelerated:
-        for it in range(1, max_iter + 1):
-            grad(z)
-            if tol > 0.0 and math.sqrt(g @ g) <= tol:
+        for j in range(d):
+            np.multiply(X[:, j], h, out=col)
+            np.matmul(XT, col, out=H[j, :d])
+            H[j, j] += reg
+            H[j, d] = col.sum()
+        np.matmul(XT, h, out=H[d, :d])
+        H[d, d] = h.sum()
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(H, -g, rcond=None)[0]
+        slope = float(g @ step)
+
+        a = 1.0
+        for _ in range(_HALVINGS):
+            v = z + a * step
+            np.matmul(X, v[:d], out=trial)
+            trial += v[d]
+            f_new = loss(trial, v)
+            if f_new < f and f_new <= f + _ARMIJO * a * slope:
                 break
-            z -= step * g
-    else:
-        y = z.copy()
-        momentum = 0.0
-        for it in range(1, max_iter + 1):
-            grad(y)
-            if tol > 0.0 and math.sqrt(g @ g) <= tol:
-                z = y
-                break
-            z_new = y - step * g
-            delta = z_new - z
-            # gradient restart keeps the momentum from overshooting
-            momentum = 0.0 if g @ delta > 0.0 else momentum + 1.0
-            y = z_new + (momentum / (momentum + 3.0)) * delta
-            z = z_new
-    # g still holds the last gradient: the updates above only read it
+            a *= 0.5
+        else:
+            break  # no step length decreases the loss: stay put
+        z[:] = v
+        f = f_new
+        score, trial = trial, score
     gnorm = math.sqrt(g @ g) if it else np.inf
     return z[:d], float(z[d]), it, gnorm
 

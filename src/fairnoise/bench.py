@@ -55,11 +55,13 @@ class SyntheticConfig:
         d = len(self.means[0])
         if any(len(m) != d for m in self.means):
             raise ValidationError("mean vectors must share one dimension")
+        if not np.isfinite(np.array(self.means, dtype=float)).all():
+            raise ValidationError("means must be finite")
         p = np.array(self.proportions, dtype=float)
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
+        if not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):
             raise ValidationError("proportions must be nonnegative and sum to 1")
-        if self.variance <= 0:
-            raise ValidationError("variance must be > 0")
+        if not 0 < self.variance < math.inf:
+            raise ValidationError("variance must be finite and > 0")
         if self.n < 1:
             raise ValidationError("n must be >= 1")
         if self.seed < 0:

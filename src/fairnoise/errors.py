@@ -76,7 +76,7 @@ class PairingWarning(FairnoiseWarning):
 
 
 class NonConvergenceWarning(FairnoiseWarning):
-    """Iteration cap hit with the gradient norm above tolerance."""
+    """A fit stopped with the gradient norm above its tolerance."""
 
 
 class DegenerateEstimateWarning(FairnoiseWarning):

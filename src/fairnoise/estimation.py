@@ -31,15 +31,16 @@ _MAX_RATE_SUM = 1.0 - 1e-3
 class EstimatorConfig:
     """Posterior fit and quantile settings.
 
-    ``regularization=None`` means the 1/n default. The anchor quantiles
-    (0.005, 0.995) are used instead of the strict min/max for outlier
-    robustness.
+    ``regularization=None`` means the 1/n default. The posterior is the
+    damped-Newton logistic fit: it stops at gradient norm ``grad_tol``,
+    and ``max_iter`` only caps its iterations (a fit needs under ten).
+    The anchor quantiles (0.005, 0.995) are used instead of the strict
+    min/max for outlier robustness.
     """
 
     regularization: float = None
     max_iter: int = 1000
     grad_tol: float = 1e-6
-    learning_rate: float = 1.0
     n_bins: int = 20
     min_bin_count: int = 1000
     anchor_quantile: float = 0.005
@@ -92,9 +93,9 @@ def fit_posterior(data, condition_on_y1=False, config=EstimatorConfig()):
 
     When ``condition_on_y1`` the fit is restricted to the Y=1 slice;
     otherwise Y enters as an extra feature. Deterministic given the config
-    and the data order. Hitting the iteration cap with the gradient norm
-    above tolerance emits a ``NonConvergenceWarning`` (the model is still
-    returned).
+    and the data order. A fit that stops with the gradient norm above
+    ``grad_tol`` (at the iteration cap, or where no step lowers the loss)
+    emits a ``NonConvergenceWarning`` (the model is still returned).
     """
     if len(data) == 0:
         raise EmptySlice("cannot fit a posterior on empty data")
@@ -113,13 +114,14 @@ def fit_posterior(data, condition_on_y1=False, config=EstimatorConfig()):
     n = len(t)
     reg = (1.0 / n) if config.regularization is None else config.regularization
     coef, b, iters, gnorm = fit_logistic(
-        X, t, np.full(n, 1.0 / n), reg=reg, lr=config.learning_rate,
-        max_iter=config.max_iter, tol=config.grad_tol, accelerated=True)
+        X, t, np.full(n, 1.0 / n), reg=reg, max_iter=config.max_iter,
+        tol=config.grad_tol)
     converged = gnorm <= config.grad_tol
     if not converged:
         warnings.warn(
-            f"posterior fit hit the iteration cap ({config.max_iter}) with "
-            f"gradient norm {gnorm:.3g}", NonConvergenceWarning, stacklevel=2)
+            f"posterior fit stopped after {iters} of at most {config.max_iter} "
+            f"iterations with gradient norm {gnorm:.3g}", NonConvergenceWarning,
+            stacklevel=2)
 
     scores = X @ coef + b
     order = np.argsort(scores, kind="stable")

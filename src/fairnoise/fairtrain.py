@@ -39,17 +39,18 @@ MODEL_MAGIC_V1 = "fairnoise-model 1"
 class TrainConfig:
     """Hyperparameters of the saddle-point reduction.
 
-    The base learner is fixed to regularized logistic regression trained
-    by full-batch gradient descent (``base_step`` is normalised by the
-    curvature bound, so 1.0 is safe at any feature scale). Training is
-    deterministic.
+    The base learner is fixed to regularized logistic regression, solved
+    to a gradient norm of 1e-8 by damped Newton, so every best response is
+    exact. ``base_iterations`` (dual loop) and ``presolve_base_iterations``
+    (each presolve step; four times that for the unconstrained start) only
+    cap the Newton iterations of one fit; a warm-started fit needs a few,
+    a cold one under ten. Training is deterministic.
     """
 
     dual_step: float = 0.3
     dual_bound: float = 100.0
     outer_iterations: int = 50
     base_iterations: int = 40
-    base_step: float = 1.0
     regularization: float = 3e-3
     select_best: bool = False
     feasibility_slack: float = 0.01
@@ -60,8 +61,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.outer_iterations < 1 or self.base_iterations < 1:
             raise ValidationError("iteration counts must be >= 1")
-        if not (self.dual_step > 0 and self.base_step > 0):
-            raise ValidationError("step sizes must be > 0")
+        if not self.dual_step > 0:
+            raise ValidationError("dual_step must be > 0")
         if not self.dual_bound > 0:
             raise ValidationError("dual_bound must be > 0")
         if not self.regularization >= 0:
@@ -154,8 +155,7 @@ class _Reduction:
         u = 1.0 / self.n + push
         t = (self.yf / self.n + push * push_label) / u
         self.coef, self.intercept, _, _ = fit_logistic(
-            self.X, t, u, reg=self.config.regularization,
-            lr=self.config.base_step, max_iter=iters,
+            self.X, t, u, reg=self.config.regularization, max_iter=iters,
             coef0=self.coef, intercept0=self.intercept)
         return self.coef.copy(), self.intercept
 

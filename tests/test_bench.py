@@ -360,7 +360,7 @@ NON_DEFAULT_SETTINGS = {
     "rho_hat_grid": "0.1:0.2", "tau_grid": "0.3", "methods": "nocor",
     "repetitions": "2", "train_fraction": "0.7", "base_seed": "9",
     "dual_step": "0.5", "dual_bound": "10.0", "outer_iterations": "7",
-    "base_iterations": "9", "base_step": "0.5", "regularization": "0.01",
+    "base_iterations": "9", "regularization": "0.01",
     "select_best": "true", "feasibility_slack": "0.02",
     "boundary_margin": "0.02", "presolve_iterations": "5",
     "presolve_base_iterations": "11", "est_max_iter": "50", "est_n_bins": "7",

@@ -294,6 +294,9 @@ class TestExitCodeFuzz:
         def small_int(lo, hi):
             return str(int(rng.integers(lo, hi + 1)))
 
+        def vector(values):
+            return ",".join(repr(float(v)) for v in values)
+
         def corrupt(values):
             return ["corrupt", "--input", str(csv), "--output", out,
                     *[f"--{k}={v}" for k, v in values.items()]]
@@ -329,12 +332,18 @@ class TestExitCodeFuzz:
                              "synth_seed": small_int(0, 99), "rho_plus": rate(),
                              "rho_minus": rate(),
                              "train_fraction": str(rng.uniform(0.5, 0.9)),
-                             "synth_variance": str(rng.uniform(0.5, 2.0))}),
+                             "synth_variance": str(rng.uniform(0.5, 2.0)),
+                             "synth_proportions": vector(rng.dirichlet(np.ones(4))),
+                             "synth_mean_a0y0": vector(rng.normal(size=4)),
+                             "synth_mean_a1y1": vector(rng.normal(size=4))}),
         ]
         for make, valid in commands:
             for key in valid():
                 for bad in pool:
-                    argv = make({**valid(), key: bad})
+                    values = valid()
+                    # a vector value takes the hostile entry in its first slot
+                    values[key] = ",".join([bad, *values[key].split(",")[1:]])
+                    argv = make(values)
                     assert main(argv) in (0, 1, 2, 3), argv
         capsys.readouterr()
 
@@ -359,6 +368,27 @@ class TestSweep:
         assert {r.method for r in rows} == {"nocor", "cor_scale"}
         assert (tmp_path / "results_agg.csv").exists()
         assert "test violation" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_design_at_zero_regularization(self, tmp_path):
+        # A constant column copies the intercept and the last column copies
+        # the first, so every best-response Hessian is singular at reg = 0.
+        data = synth_generate(disparity_synthetic_config(n=600, seed=3))
+        X = data.features
+        path = tmp_path / "singular.csv"
+        write_csv(Dataset(np.column_stack([X, np.ones(len(X)), X[:, 0]]),
+                          data.sensitive, data.target), path)
+        out = tmp_path / "results.csv"
+        settings = {"data": "csv", "csv_path": str(path), "regularization": "0",
+                    "repetitions": "1", "tau_grid": "0.05,0.2",
+                    "outer_iterations": "10"}
+        rc = main(["sweep", "--out", str(out), "--jobs", "1",
+                   *[a for k, v in settings.items() for a in ("--set", f"{k}={v}")]])
+        assert rc == 0
+        rows = read_results(out)
+        assert len(rows) == 16
+        assert all(r.fairness_violation is not None and r.error is not None
+                   for r in rows)
 
     def test_unknown_set_key_exits_1(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "r.csv"),
