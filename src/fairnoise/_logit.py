@@ -30,7 +30,8 @@ Kernel contract:
 - Finite input never raises. A singular Hessian (a zero, constant or
   duplicated column at ``reg = 0``) gets the least-squares, minimum-norm
   Newton step; when no step length decreases the loss the fit stops where
-  it is.
+  it is. A trial step whose loss overflows is rejected without a
+  floating-point warning.
 """
 
 import math
@@ -120,16 +121,19 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
         slope = float(g @ step)
 
         a = 1.0
-        for _ in range(_HALVINGS):
-            v = z + a * step
-            np.matmul(X, v[:d], out=trial)
-            trial += v[d]
-            f_new = loss(trial, v)
-            if f_new < f and f_new <= f + _ARMIJO * a * slope:
-                break
-            a *= 0.5
-        else:
-            break  # no step length decreases the loss: stay put
+        # a huge trial step can overflow to a non-finite loss, which the
+        # comparison rejects like any other non-decrease
+        with np.errstate(over="ignore"):
+            for _ in range(_HALVINGS):
+                v = z + a * step
+                np.matmul(X, v[:d], out=trial)
+                trial += v[d]
+                f_new = loss(trial, v)
+                if f_new < f and f_new <= f + _ARMIJO * a * slope:
+                    break
+                a *= 0.5
+            else:
+                break  # no step length decreases the loss: stay put
         z[:] = v
         f = f_new
         score, trial = trial, score

@@ -75,7 +75,6 @@ def _build_parser():
     p.add_argument("--estimate-noise", action="store_true")
     p.add_argument("--model-out", required=True)
     p.add_argument("--outer-iterations", type=int)
-    p.add_argument("--base-iterations", type=int)
     p.add_argument("--select-best", action="store_true")
     p.add_argument("--drop-missing", action="store_true")
 
@@ -158,8 +157,6 @@ def _cmd_train(args):
     overrides = {"select_best": args.select_best}
     if args.outer_iterations is not None:
         overrides["outer_iterations"] = args.outer_iterations
-    if args.base_iterations is not None:
-        overrides["base_iterations"] = args.base_iterations
     config = TrainConfig(**overrides)
 
     if (args.rho_plus is None) != (args.rho_minus is None):

@@ -300,12 +300,11 @@ def _slice_mask(sensitive, target, a, y):
 
 
 def _mean(values, weights=None):
-    # Compensated summation keeps large-slice means exact at the 1e-12
-    # tolerances the population oracles are held to.
+    # Unweighted values are 0/1 losses, whose sum numpy forms exactly. For
+    # weighted (population) slices, compensated summation keeps large-slice
+    # means exact at the 1e-12 tolerances the population oracles are held to.
     values = np.asarray(values, dtype=float)
     if weights is None:
-        if len(values) > _COMPENSATED_THRESHOLD:
-            return math.fsum(values) / len(values)
         return float(values.mean())
     weights = np.asarray(weights, dtype=float)
     if len(values) > _COMPENSATED_THRESHOLD:

@@ -25,31 +25,30 @@ from .noise import CCNNoise, EOConditionalNoise, ccn_to_mc_from_corrupted
 
 _CLAMP = 1e-6
 _MAX_RATE_SUM = 1.0 - 1e-3
+# The posterior fit (ridge 1/n) stops at this gradient norm.
+_GRAD_TOL = 1e-6
+# Calibration bins need enough mass that their empirical rates
+# concentrate; with fewer examples per bin the extremes are noise.
+_MIN_BIN_COUNT = 1000
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Posterior fit and quantile settings.
+    """Calibration and anchor-quantile settings of the rate estimator.
 
-    ``regularization=None`` means the 1/n default. The posterior is the
-    damped-Newton logistic fit: it stops at gradient norm ``grad_tol``,
-    and ``max_iter`` only caps its iterations (a fit needs under ten).
-    The anchor quantiles (0.005, 0.995) are used instead of the strict
-    min/max for outlier robustness.
+    ``n_bins`` caps the equal-count calibration bins of the posterior
+    (each also needs 1,000 examples, with two bins at least). The anchor
+    quantiles (``anchor_quantile``, ``1 - anchor_quantile``) of the
+    calibrated posterior stand in for its strict min/max, for outlier
+    robustness.
     """
 
-    regularization: float = None
-    max_iter: int = 1000
-    grad_tol: float = 1e-6
     n_bins: int = 20
-    min_bin_count: int = 1000
     anchor_quantile: float = 0.005
 
     def __post_init__(self):
-        if self.regularization is not None and self.regularization < 0:
-            raise ValidationError("regularization must be >= 0")
-        if self.max_iter < 1 or self.n_bins < 1 or self.min_bin_count < 1:
-            raise ValidationError("max_iter, n_bins and min_bin_count must be >= 1")
+        if self.n_bins < 1:
+            raise ValidationError("n_bins must be >= 1")
         if not 0.0 < self.anchor_quantile < 0.5:
             raise ValidationError("anchor_quantile must lie in (0, 0.5)")
 
@@ -94,8 +93,9 @@ def fit_posterior(data, condition_on_y1=False, config=EstimatorConfig()):
     When ``condition_on_y1`` the fit is restricted to the Y=1 slice;
     otherwise Y enters as an extra feature. Deterministic given the config
     and the data order. A fit that stops with the gradient norm above
-    ``grad_tol`` (at the iteration cap, or where no step lowers the loss)
-    emits a ``NonConvergenceWarning`` (the model is still returned).
+    1e-6 (where no step lowers the loss, or at ``fit_logistic``'s
+    iteration cap) emits a ``NonConvergenceWarning`` (the model is still
+    returned).
     """
     if len(data) == 0:
         raise EmptySlice("cannot fit a posterior on empty data")
@@ -112,23 +112,18 @@ def fit_posterior(data, condition_on_y1=False, config=EstimatorConfig()):
         uses_y = True
 
     n = len(t)
-    reg = (1.0 / n) if config.regularization is None else config.regularization
     coef, b, iters, gnorm = fit_logistic(
-        X, t, np.full(n, 1.0 / n), reg=reg, max_iter=config.max_iter,
-        tol=config.grad_tol)
-    converged = gnorm <= config.grad_tol
+        X, t, np.full(n, 1.0 / n), reg=1.0 / n, tol=_GRAD_TOL)
+    converged = gnorm <= _GRAD_TOL
     if not converged:
         warnings.warn(
-            f"posterior fit stopped after {iters} of at most {config.max_iter} "
-            f"iterations with gradient norm {gnorm:.3g}", NonConvergenceWarning,
-            stacklevel=2)
+            f"posterior fit stopped after {iters} iterations with gradient "
+            f"norm {gnorm:.3g}", NonConvergenceWarning, stacklevel=2)
 
     scores = X @ coef + b
     order = np.argsort(scores, kind="stable")
-    # bins need enough mass that their empirical rates concentrate; with
-    # fewer than min_bin_count examples per bin the extremes are noise
-    # (two bins minimum, so small samples stay directional)
-    n_bins = min(n, min(config.n_bins, max(2, n // config.min_bin_count)))
+    # two bins minimum, so small samples stay directional
+    n_bins = min(n, min(config.n_bins, max(2, n // _MIN_BIN_COUNT)))
     uppers, sums, counts = [], [], []
     for chunk in np.array_split(order, n_bins):
         if len(chunk) == 0:

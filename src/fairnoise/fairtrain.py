@@ -27,7 +27,7 @@ from .core import (Criterion, FairnessLoss, FairnessSpec, LinearScorer,
                    fairness_loss_values, mean_fairness_loss, predictions)
 from .errors import (EmptySlice, InfeasibleWarning, OutOfRangeWeight,
                      PairingWarning, ValidationError)
-from .estimation import EstimatorConfig, estimate_ccn_rates, estimate_eo_rates
+from .estimation import estimate_ccn_rates, estimate_eo_rates
 from .noise import (CCNNoise, EOConditionalNoise, MCNoise,
                     ccn_to_mc_from_corrupted, mc_to_eo, scale_tolerance)
 
@@ -211,32 +211,27 @@ def _train(data, criterion, loss, tau, config):
     risks = np.empty(T)
     lams_p = np.empty(T)
     lams_m = np.empty(T)
-    gaps = np.empty(T)
-    best_gaps = np.empty(T)
-
-    sum_lp = sum_lm = sum_v = sum_r = 0.0
-    best_gap = np.inf
     for t in range(T):
         lams_p[t], lams_m[t] = lam_p, lam_m
         coefs[t], intercepts[t] = red.best_response(lam_p - lam_m,
                                                     config.base_iterations)
         v, r = red.stats()
         viols[t], risks[t] = v, r
-
-        # Saddle gap of averaged play against the iterates seen so far.
-        sum_lp += lam_p; sum_lm += lam_m; sum_v += v; sum_r += r
-        k = t + 1
-        avg_lp, avg_lm = sum_lp / k, sum_lm / k
-        primal = sum_r / k + B * max(0.0, abs(sum_v / k) - tau_int)
-        dual = np.min(risks[:k] + avg_lp * (viols[:k] - tau_int)
-                      + avg_lm * (-viols[:k] - tau_int))
-        best_gap = min(best_gap, primal - dual)
-        gaps[t] = primal - dual
-        best_gaps[t] = best_gap
-
         eta = config.dual_step / np.sqrt(t + 1.0)
         lam_p = min(B, lam_p * np.exp(eta * (v - tau_int)))
         lam_m = min(B, lam_m * np.exp(eta * (-v - tau_int)))
+
+    # Saddle gap of the averaged play after k iterates, against the best
+    # response among those k.
+    k = np.arange(1.0, T + 1)
+    avg_lp, avg_lm = np.cumsum(lams_p) / k, np.cumsum(lams_m) / k
+    primal = np.cumsum(risks) / k + B * np.maximum(
+        0.0, np.abs(np.cumsum(viols) / k) - tau_int)
+    dual = np.array([np.min(risks[:j] + avg_lp[j - 1] * (viols[:j] - tau_int)
+                            + avg_lm[j - 1] * (-viols[:j] - tau_int))
+                     for j in range(1, T + 1)])
+    gaps = primal - dual
+    best_gaps = np.minimum.accumulate(gaps)
 
     feasible_mask = np.abs(viols) <= tau + config.feasibility_slack
     feasible = bool(feasible_mask.any())
@@ -282,12 +277,12 @@ def _clean_conditionals_from_corrupted(mc, data):
     return q1, q0
 
 
-def _resolve_noise(data, criterion, noise, estimator_config):
+def _resolve_noise(data, criterion, noise):
     """Map whatever noise description was supplied to the parameterisation
     the tolerance scaling needs for this criterion."""
     if criterion == Criterion.DEMOGRAPHIC_PARITY:
         if noise is None:
-            noise = estimate_ccn_rates(data, estimator_config)
+            noise = estimate_ccn_rates(data)
         if isinstance(noise, CCNNoise):
             mc, _ = ccn_to_mc_from_corrupted(noise, data.base_rate())
             return mc, (noise.rho_plus, noise.rho_minus)
@@ -295,7 +290,7 @@ def _resolve_noise(data, criterion, noise, estimator_config):
             return noise, None
         raise ValidationError("demographic parity scaling needs MC or CCN noise")
     if noise is None:
-        noise = estimate_eo_rates(data, estimator_config)
+        noise = estimate_eo_rates(data)
     if isinstance(noise, EOConditionalNoise):
         return noise, None
     if isinstance(noise, CCNNoise):
@@ -314,7 +309,7 @@ def _resolve_noise(data, criterion, noise, estimator_config):
 
 
 def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
-                     estimator_config=EstimatorConfig(), trainer=None):
+                     trainer=None):
     """Noise-aware fair training: scale the tolerance, then train as usual.
 
     ``noise`` may be an ``MCNoise``, ``EOConditionalNoise`` or ``CCNNoise``
@@ -326,8 +321,7 @@ def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
     base method: pass ``trainer(data, spec, config)`` and it is invoked
     with the spec rescaled to the noise-adjusted tolerance.
     """
-    resolved, rates = _resolve_noise(data_corrupted, spec.criterion, noise,
-                                     estimator_config)
+    resolved, rates = _resolve_noise(data_corrupted, spec.criterion, noise)
     tau_prime = scale_tolerance(spec.tolerance, resolved)
     if trainer is not None:
         with warnings.catch_warnings():

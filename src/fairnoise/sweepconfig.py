@@ -69,10 +69,11 @@ _SECTIONS = {None: ExperimentConfig, "synthetic": SyntheticConfig,
              "train": TrainConfig, "estimator": EstimatorConfig}
 
 
-def _rows(section, prefix, names):
+def _rows(section, prefix, names=None):
+    """Schema rows for the named fields of a section, or for all of them."""
     types = {f.name: f.type for f in dataclasses.fields(_SECTIONS[section])}
     return [(prefix + name, section, name, _CODECS[types[name]])
-            for name in names.split()]
+            for name in (names.split() if names else types)]
 
 
 # (key, section, field, codec) in file order. Section None is ExperimentConfig
@@ -84,8 +85,7 @@ _SCHEMA = (
     + _rows("synthetic", "synth_", "proportions variance n seed")
     + _rows(None, "", "criterion loss rho_plus rho_minus noise_mode rho_hat_grid "
             "tau_grid methods repetitions train_fraction base_seed")
-    + _rows("train", "", " ".join(f.name for f in dataclasses.fields(TrainConfig)))
-    + _rows("estimator", "est_", "max_iter n_bins anchor_quantile"))
+    + _rows("train", "") + _rows("estimator", "est_"))
 
 KNOWN_KEYS = frozenset([DATA_KEY] + [row[0] for row in _SCHEMA])
 

@@ -363,7 +363,7 @@ NON_DEFAULT_SETTINGS = {
     "base_iterations": "9", "regularization": "0.01",
     "select_best": "true", "feasibility_slack": "0.02",
     "boundary_margin": "0.02", "presolve_iterations": "5",
-    "presolve_base_iterations": "11", "est_max_iter": "50", "est_n_bins": "7",
+    "presolve_base_iterations": "11", "est_n_bins": "7",
     "est_anchor_quantile": "0.01",
 }
 
@@ -404,7 +404,7 @@ class TestConfigSchema:
         {"base_seed": "-5"}, {"synth_seed": "-1"}, {"tau_grid": "0.1,nan"},
         {"dual_step": "nan"}, {"base_step": "nan"}, {"dual_bound": "nan"},
         {"regularization": "nan"}, {"boundary_margin": "nan"},
-        {"feasibility_slack": "nan"}])
+        {"feasibility_slack": "nan"}, {"est_max_iter": "1000"}])
     def test_bad_mapping_rejected(self, mapping):
         from fairnoise.sweepconfig import build_experiment_config
         with pytest.raises(ValidationError):

@@ -104,8 +104,7 @@ class TestTrain:
         model_out = tmp_path / "model.txt"
         rc = main(["train", "--input", str(src), "--tau", "0.2",
                    "--rho-plus", "0.15", "--rho-minus", "0.15",
-                   "--model-out", str(model_out),
-                   "--outer-iterations", "8", "--base-iterations", "25"])
+                   "--model-out", str(model_out), "--outer-iterations", "8"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "tau' = 0.140000" in out
@@ -117,7 +116,7 @@ class TestTrain:
                    "--estimate-noise", "--model-out", str(tmp_path / "m.txt")])
         assert rc == 1
 
-    @pytest.mark.parametrize("flag", ["--outer-iterations", "--base-iterations"])
+    @pytest.mark.parametrize("flag", ["--outer-iterations"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_iterations_exit_1(self, csv_path, tmp_path, capsys,
                                             flag, value):
@@ -126,6 +125,18 @@ class TestTrain:
                    "--model-out", str(model_out), flag, value])
         assert rc == 1
         assert "iteration counts must be >= 1" in capsys.readouterr().err
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "5"])
+    def test_removed_base_iterations_flag_exits_1(self, csv_path, tmp_path,
+                                                  capsys, value):
+        model_out = tmp_path / "m.txt"
+        rc = main(["train", "--input", str(csv_path), "--tau", "0.1",
+                   "--model-out", str(model_out), "--base-iterations", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --base-iterations" in err
+        assert "Traceback" not in err
         assert not model_out.exists()
 
     def test_nan_tau_exits_1(self, csv_path, tmp_path):
@@ -140,7 +151,7 @@ class TestTrain:
         model_out = tmp_path / "m.txt"
         assert main(["train", "--input", str(csv_path), "--tau", "0.02",
                      "--model-out", str(model_out), "--outer-iterations", "8",
-                     "--base-iterations", "25", *flags]) == 0
+                     *flags]) == 0
         printed = re.search(r"violation = ([-+0-9.]+), risk = ([0-9.]+)",
                             capsys.readouterr().out)
         assert main(["metrics", "--input", str(csv_path),
@@ -170,7 +181,7 @@ class TestMetrics:
         model_out = tmp_path / "model.txt"
         assert main(["train", "--input", str(csv_path), "--tau", "1.0",
                      "--model-out", str(model_out),
-                     "--outer-iterations", "8", "--base-iterations", "25"]) == 0
+                     "--outer-iterations", "8"]) == 0
         capsys.readouterr()
         out = tmp_path / "metrics.txt"
         rc = main(["metrics", "--input", str(csv_path), "--model",
@@ -304,7 +315,6 @@ class TestExitCodeFuzz:
         def train(values):
             return ["train", "--input", str(csv), "--model-out", model,
                     "--outer-iterations", small_int(1, 3),
-                    "--base-iterations", small_int(1, 5),
                     *[f"--{k}={v}" for k, v in values.items()]]
 
         def dp_calibrate(values):
@@ -394,13 +404,28 @@ class TestSweep:
         assert main(["sweep", "--out", str(tmp_path / "r.csv"),
                      "--set", "bogus=1"]) == 1
 
+    def test_removed_est_max_iter_key_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--out", str(out), "--set", "est_max_iter=5"]) == 1
+        assert "unknown config key 'est_max_iter'" in capsys.readouterr().err
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("est_max_iter = 5\n")
+        assert main(["sweep", "--out", str(out), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key 'est_max_iter'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_write_default_config(self, tmp_path):
         p = tmp_path / "default.cfg"
         assert main(["sweep", "--write-default-config", str(p)]) == 0
+        from importlib import resources
         from fairnoise.sweepconfig import build_experiment_config, parse_config_file
         from fairnoise.bench import default_experiment_config
         assert build_experiment_config(parse_config_file(p)) == \
             default_experiment_config()
+        # the shipped file is exactly what the code writes
+        shipped = resources.files("fairnoise") / "default_sweep.cfg"
+        assert p.read_bytes() == shipped.read_bytes()
 
 
 class TestUsageErrors:

@@ -123,6 +123,18 @@ class TestAccuracyRisk:
         with pytest.raises(EmptyDataset):
             accuracy_risk(data, ConstantScorer(1.0))
 
+    def test_large_sample_mean_is_exact(self):
+        # 0/1 losses sum exactly, so the mean is the error count over n
+        n = 100_001
+        rng = np.random.default_rng(5)
+        y = (rng.uniform(size=n) < 0.3).astype(int)
+        data = Dataset(rng.normal(size=(n, 1)), rng.integers(0, 2, n), y)
+        scorer = LinearScorer([1.0])
+        wrong = int((predictions(scorer, data.features) != y).sum())
+        assert accuracy_risk(data, scorer) == wrong / n
+        ones = int((predictions(scorer, data.features) == 1).sum())
+        assert mean_fairness_loss(data, scorer, PNP) == (n - ones) / n
+
 
 class TestInvariants:
     def test_group_relabel_symmetry(self):

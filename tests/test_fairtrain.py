@@ -92,6 +92,24 @@ class TestTrainFair:
         assert model.trace.tau_internal == pytest.approx(
             0.1 - FAST.boundary_margin)
 
+    @pytest.mark.parametrize("criterion, tau", [(DP, 0.0), (DP, 0.1), (EO, 0.05)])
+    def test_gap_trace_matches_the_per_iterate_formula(self, synth_data,
+                                                       criterion, tau):
+        # After k iterates: the averaged play's penalised risk, minus the
+        # best of those k iterates against the averaged duals.
+        tr = train_fair(synth_data, FairnessSpec(criterion, tolerance=tau),
+                        FAST).trace
+        B, t = FAST.dual_bound, tr.tau_internal
+        v, r = tr.violations, tr.risks
+        for k in range(1, FAST.outer_iterations + 1):
+            lp, lm = np.mean(tr.lambda_plus[:k]), np.mean(tr.lambda_minus[:k])
+            primal = np.mean(r[:k]) + B * max(0.0, abs(np.mean(v[:k])) - t)
+            dual = min(r[j] + lp * (v[j] - t) + lm * (-v[j] - t)
+                       for j in range(k))
+            assert tr.gaps[k - 1] == pytest.approx(primal - dual, rel=1e-12,
+                                                   abs=1e-12)
+            assert tr.best_gaps[k - 1] == min(tr.gaps[:k])
+
     def test_select_best_returns_single_feasible_iterate(self, synth_data):
         config = TrainConfig(outer_iterations=20, base_iterations=30,
                              presolve_iterations=18,

@@ -339,6 +339,16 @@ class TestDegenerateInputs:
         assert np.isfinite(coef).all() and np.isfinite(b)
         assert (b > 3.0) if value else (b < -3.0)
 
+    def test_overflowing_trial_step_is_rejected_silently(self):
+        # Scaled features at reg = 0 with a warm start: the first Newton
+        # steps are so long that the trial loss overflows; those steps are
+        # rejected without a floating-point warning.
+        X, targets, weights, coef0 = _problem(1, 4, seed=14)
+        coef, b, n_iter, gnorm = _fit_quietly(30 * X, targets, weights, reg=0.0,
+                                              coef0=coef0, intercept0=-0.25)
+        assert np.isfinite(coef).all() and np.isfinite(b)
+        assert np.isfinite(gnorm) and n_iter >= 1
+
     def test_no_decrease_stops_without_a_step(self):
         # Started at the optimum with tol = 0, the Newton steps are rounding
         # noise and no step length lowers the loss: the fit must stop
