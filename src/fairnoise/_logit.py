@@ -28,10 +28,11 @@ Kernel contract:
   (n, d) temporary exists. No state outlives a fit, and the caller's
   arrays are never written.
 - Finite input never raises. A singular Hessian (a zero, constant or
-  duplicated column at ``reg = 0``) gets the least-squares, minimum-norm
-  Newton step; when no step length decreases the loss the fit stops where
-  it is. A trial step whose loss overflows is rejected without a
-  floating-point warning.
+  duplicated column at ``reg = 0``), or a nearly singular one whose
+  solve is not finite, gets the least-squares, minimum-norm Newton step;
+  when the Hessian overflows, or no step length decreases the loss, the
+  fit stops where it is. A trial step whose loss overflows is rejected
+  without a floating-point warning.
 """
 
 import math
@@ -116,7 +117,11 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
         H[d, d] = h.sum()
         try:
             step = np.linalg.solve(H, -g)
+            if not np.isfinite(step).all():  # nearly singular: no error raised
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
+            if not np.isfinite(H).all():
+                break  # the curvature overflows: no step to take, stay put
             step = np.linalg.lstsq(H, -g, rcond=None)[0]
         slope = float(g @ step)
 
@@ -140,7 +145,3 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
     gnorm = math.sqrt(g @ g) if it else np.inf
     return z[:d], float(z[d]), it, gnorm
 
-
-def log_loss(p, t, eps=1e-12):
-    p = np.clip(p, eps, 1.0 - eps)
-    return float(np.mean(-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)))

@@ -193,6 +193,13 @@ def _parse_csv(fh, drop_missing):
     return Dataset(X, sens, labels)
 
 
+def csv_feature_names(path):
+    """A ``load_csv`` input's feature column names, stripped, in file order."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh))]
+    return [h for h in header if h not in ("sensitive", "label")]
+
+
 def write_csv(data, path, feature_names=None):
     """Write a dataset as CSV (features, then sensitive, then label).
 

@@ -100,7 +100,8 @@ def _cmd_corrupt(args):
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
     noise = CCNNoise(args.rho_plus, args.rho_minus)
     corrupted = inject_ccn(data, noise, args.seed)
-    bench.write_csv(corrupted, args.output)
+    bench.write_csv(corrupted, args.output,
+                    bench.csv_feature_names(args.input))
     flipped = data.sensitive != corrupted.sensitive
     n1 = int((data.sensitive == 1).sum())
     n0 = len(data) - n1
@@ -230,7 +231,7 @@ def _cmd_sweep(args):
     agg_path = bench.emit_results(rows, args.out)
     done = sum(1 for r in rows if r.fairness_violation is not None)
     print(f"wrote {args.out} ({len(rows)} rows, {done} evaluated) and {agg_path}")
-    for line in _summarize(rows):
+    for line in _summarize(rows, config.noise_mode == "rho_hat_sweep"):
         print(line)
     return 0
 
@@ -243,20 +244,23 @@ def _jobs_from_env():
         raise _UsageExit(f"FAIRNOISE_JOBS must be an integer, got {value!r}") from None
 
 
-def _summarize(rows):
+def _summarize(rows, by_pair):
+    """Mean test violation and error per (method, [rho-hat pair,] tau)."""
     from .denoise import LABEL as DENOISE_LABEL
     keyed = {}
     for row in rows:
         if row.split != "test" or row.fairness_violation is None:
             continue
-        keyed.setdefault((row.method, row.tau), []).append(row)
+        pair = (row.rho_plus_hat, row.rho_minus_hat)
+        pair = pair if by_pair and pair[0] is not None else ()
+        keyed.setdefault((row.method, pair, row.tau), []).append(row)
     out = []
-    for (method, tau) in sorted(keyed):
-        group = keyed[(method, tau)]
+    for (method, pair, tau), group in sorted(keyed.items()):
         fv = np.mean([r.fairness_violation for r in group])
         er = np.mean([r.error for r in group])
         shown = DENOISE_LABEL if method == "denoise" else method
-        out.append(f"  {shown:<20s} tau={tau:<5g} test violation={fv:.4f} "
+        at = "rho_hat={:g}:{:g}".format(*pair).ljust(17) if pair else ""
+        out.append(f"  {shown:<20s} {at}tau={tau:<5g} test violation={fv:.4f} "
                    f"error={er:.4f}")
     return out
 

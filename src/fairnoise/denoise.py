@@ -10,7 +10,7 @@ from math import ceil
 import numpy as np
 
 from .errors import EmptySlice
-from .estimation import EstimatorConfig, fit_posterior
+from .estimation import EstimatorConfig, ccn_design, fit_posterior
 
 LABEL = "denoise (simplified)"
 
@@ -45,19 +45,17 @@ def denoise_ccn(data, rates, config=EstimatorConfig()):
     if len(idx1) == 0 or len(idx0) == 0:
         raise EmptySlice("both apparent groups must be present")
 
-    model = fit_posterior(data, condition_on_y1=False, config=config)
-    eta = model.scores(data.features, data.target)
+    X = ccn_design(data)
+    eta = fit_posterior(X, data.sensitive, config).scores(X)
 
     k1 = min(len(idx1), ceil(rates.rho_plus * len(idx1)))
     k0 = min(len(idx0), ceil(rates.rho_minus * len(idx0)))
 
     new_a = data.sensitive.copy()
-    if k1 > 0:
-        order = idx1[np.lexsort((idx1, eta[idx1]))]
-        new_a[order[:k1]] = 0
-    if k0 > 0:
-        order = idx0[np.lexsort((idx0, -eta[idx0]))]
-        new_a[order[:k0]] = 1
+    order = idx1[np.lexsort((idx1, eta[idx1]))]
+    new_a[order[:k1]] = 0
+    order = idx0[np.lexsort((idx0, -eta[idx0]))]
+    new_a[order[:k0]] = 1
 
     report = DenoiseReport(
         n_to_0=int(k1), n_to_1=int(k0),

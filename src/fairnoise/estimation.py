@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._logit import fit_logistic, log_loss, sigmoid
-from .core import Dataset
+from ._logit import fit_logistic
 from .errors import (DegenerateEstimateWarning, EmptySlice,
                      NonConvergenceWarning, ValidationError)
 from .noise import CCNNoise, EOConditionalNoise, ccn_to_mc_from_corrupted
@@ -55,63 +54,52 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class PosteriorModel:
-    """Calibrated estimate of P[A_corr = 1 | features (, Y)].
+    """Calibrated estimate of P[A_corr = 1 | row of the fitted design].
 
+    ``scores`` and ``predict_proba`` take rows with the fitted columns;
     ``predict_proba`` returns the bin-calibrated posterior, clamped to
-    [1e-6, 1 - 1e-6]. ``iterations``/``final_loss``/``converged`` record
-    the underlying logistic fit.
+    [1e-6, 1 - 1e-6]. ``iterations``/``converged`` record the logistic fit.
     """
 
     coef: np.ndarray
     intercept: float
     bin_upper_scores: np.ndarray
     bin_rates: np.ndarray
-    uses_target_feature: bool
     iterations: int
-    final_loss: float
     converged: bool
 
-    def scores(self, features, target=None):
+    def scores(self, X):
         """Raw (uncalibrated) posterior scores; monotone in the posterior."""
-        X = np.asarray(features, dtype=float)
-        if self.uses_target_feature:
-            if target is None:
-                raise ValidationError("this posterior needs the target column")
-            X = np.column_stack([X, np.asarray(target, dtype=float)])
-        return X @ self.coef + self.intercept
+        return np.asarray(X, dtype=float) @ self.coef + self.intercept
 
-    def predict_proba(self, features, target=None):
-        s = self.scores(features, target)
+    def predict_proba(self, X):
+        s = self.scores(X)
         idx = np.searchsorted(self.bin_upper_scores[:-1], s, side="left")
         return np.clip(self.bin_rates[idx], _CLAMP, 1.0 - _CLAMP)
 
 
-def fit_posterior(data, condition_on_y1=False, config=EstimatorConfig()):
-    """Fit the calibrated group-membership posterior on (possibly corrupted)
-    data.
+def ccn_design(data):
+    """The CCN-rate posterior's design: the features plus the target column."""
+    return np.column_stack([data.features, data.target.astype(float)])
 
-    When ``condition_on_y1`` the fit is restricted to the Y=1 slice;
-    otherwise Y enters as an extra feature. Deterministic given the config
-    and the data order. A fit that stops with the gradient norm above
-    1e-6 (where no step lowers the loss, or at ``fit_logistic``'s
-    iteration cap) emits a ``NonConvergenceWarning`` (the model is still
-    returned).
+
+def fit_posterior(X, sensitive, config=EstimatorConfig()):
+    """Fit the calibrated posterior of the (possibly corrupted) sensitive
+    bit on the design ``X``, one row per entry of ``sensitive``:
+    ``ccn_design(data)`` for the CCN rates, the Y=1 slice's features for
+    the EO rates. Deterministic given the config and the row order.
+
+    A fit that stops with the gradient norm above 1e-6 (where no step
+    lowers the loss, or at ``fit_logistic``'s iteration cap) emits a
+    ``NonConvergenceWarning`` (the model is still returned).
     """
-    if len(data) == 0:
-        raise EmptySlice("cannot fit a posterior on empty data")
-    if condition_on_y1:
-        mask = data.target == 1
-        if not mask.any():
-            raise EmptySlice("Y=1 slice is empty")
-        X = data.features[mask]
-        t = data.sensitive[mask].astype(float)
-        uses_y = False
-    else:
-        X = np.column_stack([data.features, data.target.astype(float)])
-        t = data.sensitive.astype(float)
-        uses_y = True
-
+    X = np.asarray(X, dtype=float)
+    t = np.asarray(sensitive, dtype=float)
+    if X.ndim != 2 or t.ndim != 1 or len(X) != len(t):
+        raise ValidationError("X must be 2-d with one row per sensitive value")
     n = len(t)
+    if n == 0:
+        raise EmptySlice("cannot fit a posterior on empty data")
     coef, b, iters, gnorm = fit_logistic(
         X, t, np.full(n, 1.0 / n), reg=1.0 / n, tol=_GRAD_TOL)
     converged = gnorm <= _GRAD_TOL
@@ -126,8 +114,6 @@ def fit_posterior(data, condition_on_y1=False, config=EstimatorConfig()):
     n_bins = min(n, min(config.n_bins, max(2, n // _MIN_BIN_COUNT)))
     uppers, sums, counts = [], [], []
     for chunk in np.array_split(order, n_bins):
-        if len(chunk) == 0:
-            continue
         top = float(scores[chunk].max())
         if uppers and top == uppers[-1]:
             # score ties must not straddle a bin boundary
@@ -138,8 +124,8 @@ def fit_posterior(data, condition_on_y1=False, config=EstimatorConfig()):
             sums.append(float(t[chunk].sum()))
             counts.append(len(chunk))
     rates = np.array(sums) / np.array(counts)
-    return PosteriorModel(coef, float(b), np.array(uppers), rates,
-                          uses_y, iters, log_loss(sigmoid(scores), t), converged)
+    return PosteriorModel(coef, float(b), np.array(uppers), rates, iters,
+                          converged)
 
 
 def _quantile_rates(eta, q):
@@ -164,8 +150,8 @@ def estimate_ccn_rates(data, config=EstimatorConfig()):
         raise EmptySlice("cannot estimate on empty data")
     if not ((data.sensitive == 0).any() and (data.sensitive == 1).any()):
         raise EmptySlice("both apparent groups must be present")
-    model = fit_posterior(data, condition_on_y1=False, config=config)
-    eta = model.predict_proba(data.features, data.target)
+    X = ccn_design(data)
+    eta = fit_posterior(X, data.sensitive, config).predict_proba(X)
     rho_plus, rho_minus = _quantile_rates(eta, config.anchor_quantile)
     return CCNNoise(rho_plus, rho_minus)
 
@@ -184,8 +170,8 @@ def estimate_eo_rates(data, config=EstimatorConfig()):
     sliced = data.subset(mask)
     if not ((sliced.sensitive == 0).any() and (sliced.sensitive == 1).any()):
         raise EmptySlice("Y=1 slice must contain both apparent groups")
-    model = fit_posterior(data, condition_on_y1=True, config=config)
-    eta = model.predict_proba(sliced.features)
+    eta = fit_posterior(sliced.features, sliced.sensitive,
+                        config).predict_proba(sliced.features)
     rho_plus, rho_minus = _quantile_rates(eta, config.anchor_quantile)
     mc, _ = ccn_to_mc_from_corrupted(CCNNoise(rho_plus, rho_minus),
                                      sliced.base_rate())

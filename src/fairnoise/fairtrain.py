@@ -59,8 +59,11 @@ class TrainConfig:
     presolve_base_iterations: int = 120
 
     def __post_init__(self):
-        if self.outer_iterations < 1 or self.base_iterations < 1:
+        if min(self.outer_iterations, self.base_iterations,
+               self.presolve_base_iterations) < 1:
             raise ValidationError("iteration counts must be >= 1")
+        if self.presolve_iterations < 0:
+            raise ValidationError("presolve_iterations must be >= 0 (0: none)")
         if not self.dual_step > 0:
             raise ValidationError("dual_step must be > 0")
         if not self.dual_bound > 0:

@@ -71,6 +71,20 @@ class TestCorrupt:
         assert not out.exists()
 
 
+    def test_feature_names_kept(self, tmp_path):
+        # sensitive sits between the features and the names carry
+        # whitespace: the output keeps the stripped names, in file order,
+        # then sensitive, then label
+        src = tmp_path / "named.csv"
+        src.write_text(" age ,sensitive,income,label\n"
+                       "31.0,1,2.5,0\n45.0,0,1.25,1\n")
+        out = tmp_path / "out.csv"
+        assert main(["corrupt", "--input", str(src), "--output", str(out),
+                     "--rho-plus", "0.0", "--rho-minus", "0.0"]) == 0
+        assert out.read_text().splitlines() == [
+            "age,income,sensitive,label", "31.0,2.5,1,0", "45.0,1.25,0,1"]
+
+
 class TestDpCalibrate:
     def test_epsilon_to_rho(self, capsys):
         assert main(["dp-calibrate", "--epsilon", "1.73"]) == 0
@@ -399,6 +413,40 @@ class TestSweep:
         assert len(rows) == 16
         assert all(r.fairness_violation is not None and r.error is not None
                    for r in rows)
+
+    @pytest.mark.parametrize("setting", ["presolve_base_iterations=0",
+                                         "presolve_base_iterations=-3",
+                                         "presolve_iterations=-3"])
+    def test_bad_presolve_iterations_exit_1(self, tmp_path, capsys, setting):
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--out", str(out), "--set", "repetitions=1",
+                     "--set", "methods=nocor", "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert "invalid parameter" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_rho_hat_sweep_summary_per_pair(self, tmp_path, capsys):
+        fast = ["--set", "synth_n=600", "--set", "tau_grid=0.05",
+                "--set", "repetitions=1", "--set", "methods=nocor,cor_scale",
+                "--set", "outer_iterations=6", "--set", "presolve_iterations=8"]
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--out", str(out), *fast,
+                     "--set", "noise_mode=rho_hat_sweep",
+                     "--set", "rho_hat_grid=0.0:0.0,0.3:0.3"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[:2] for line in lines] == [
+            ["cor_scale", "rho_hat=0:0"], ["cor_scale", "rho_hat=0.3:0.3"],
+            ["nocor", "tau=0.05"]]
+        # each line is its own pair's mean, as in the _agg file
+        agg = (tmp_path / "r_agg.csv").read_text().splitlines()
+        means = [f"violation={float(rec.split(',')[6]):.4f}" for rec in agg
+                 if rec.startswith("cor_scale") and ",test," in rec]
+        assert [line.split()[4] for line in lines[:2]] == means
+        # known mode names no pair
+        assert main(["sweep", "--out", str(out), *fast]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[:2] for line in lines] == [
+            ["cor_scale", "tau=0.05"], ["nocor", "tau=0.05"]]
 
     def test_unknown_set_key_exits_1(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "r.csv"),

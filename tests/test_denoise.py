@@ -1,5 +1,7 @@
 """Relabeling-baseline tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,16 @@ class TestDenoiseCcn:
         data = Dataset(np.zeros((4, 1)), [0, 0, 0, 0], [0, 1, 0, 1])
         with pytest.raises(EmptySlice):
             denoise_ccn(data, CCNNoise(0.1, 0.1))
+
+    def test_relabeled_bits_pinned(self):
+        # the same corrupted anchor sample as the estimator's pinned rates;
+        # the relabeled indices are pinned by digest, so any change to the
+        # posterior's ranking scores shows here
+        data = well_separated(n=20000, seed=3)
+        corrupted = inject_ccn(data, CCNNoise(0.2, 0.1), 100)
+        cleaned, report = denoise_ccn(corrupted, CCNNoise(0.2, 0.1))
+        moved = np.flatnonzero(cleaned.sensitive != corrupted.sensitive)
+        assert (report.n_to_0, report.n_to_1, len(moved)) == (1800, 1100, 2900)
+        digest = hashlib.sha256(",".join(map(str, moved)).encode()).hexdigest()
+        assert digest == ("d227a3ba9f76fa6b1b0337146b466d06"
+                          "b213e4e2c2aed9356ce16217c3ebc445")

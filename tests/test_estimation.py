@@ -8,9 +8,11 @@ import pytest
 
 from fairnoise.bench import anchor_synthetic_config, synth_generate
 from fairnoise.core import Dataset
-from fairnoise.errors import DegenerateEstimateWarning, EmptySlice
-from fairnoise.estimation import (EstimatorConfig, estimate_ccn_rates,
-                                  estimate_eo_rates, fit_posterior)
+from fairnoise.errors import (DegenerateEstimateWarning, EmptySlice,
+                              ValidationError)
+from fairnoise.estimation import (EstimatorConfig, ccn_design,
+                                  estimate_ccn_rates, estimate_eo_rates,
+                                  fit_posterior)
 from fairnoise.noise import CCNNoise, ccn_to_mc, inject_ccn, mc_to_eo
 
 from dataclasses import replace
@@ -32,10 +34,9 @@ class TestFitPosterior:
         a = rng.integers(0, 2, n)
         X = np.column_stack([a * 2.0 - 1.0 + rng.normal(0, 0.05, n),
                              rng.normal(0, 1, n)])
-        data = Dataset(X[: n // 2], a[: n // 2], np.zeros(n // 2, dtype=int))
+        model = fit_posterior(X[: n // 2], a[: n // 2])
         held = X[n // 2:], a[n // 2:]
-        model = fit_posterior(data)
-        eta = model.predict_proba(held[0], np.zeros(n // 2))
+        eta = model.predict_proba(held[0])
         t = held[1]
         logloss = float(np.mean(-t * np.log(eta) - (1 - t) * np.log(1 - eta)))
         assert logloss < 0.1
@@ -44,37 +45,49 @@ class TestFitPosterior:
         rng = np.random.default_rng(1)
         n = 5000
         a = (rng.random(n) < 0.35).astype(int)
-        data = Dataset(rng.normal(0, 1, (n, 3)), a, rng.integers(0, 2, n))
-        model = fit_posterior(data)
-        eta = model.predict_proba(data.features, data.target)
+        X = ccn_design(Dataset(rng.normal(0, 1, (n, 3)), a,
+                               rng.integers(0, 2, n)))
+        eta = fit_posterior(X, a).predict_proba(X)
         assert np.all(np.abs(eta - a.mean()) <= 0.05)
 
     def test_constant_features_give_exact_base_rate(self):
         a = np.array([1, 0, 0, 1, 0, 0, 0, 1])
-        data = Dataset(np.ones((8, 2)), a, np.zeros(8, dtype=int))
-        model = fit_posterior(data)
-        eta = model.predict_proba(data.features, data.target)
+        X = ccn_design(Dataset(np.ones((8, 2)), a, np.zeros(8, dtype=int)))
+        eta = fit_posterior(X, a).predict_proba(X)
         assert np.all(eta == a.mean())
 
     def test_empty_y1_slice(self):
         data = Dataset(np.zeros((3, 1)), [0, 1, 0], [0, 0, 0])
-        with pytest.raises(EmptySlice):
-            fit_posterior(data, condition_on_y1=True)
+        with pytest.raises(EmptySlice, match="Y=1 slice is empty"):
+            estimate_eo_rates(data)
+
+    def test_empty_design(self):
+        with pytest.raises(EmptySlice, match="cannot fit a posterior"):
+            fit_posterior(np.zeros((0, 2)), [])
+
+    @pytest.mark.parametrize("X, sensitive", [
+        (np.zeros((4, 2)), [0, 1, 0]),
+        (np.zeros((3, 2)), [0, 1, 0, 1]),
+        (np.zeros(3), [0, 1, 0]),
+        (np.zeros((3, 2, 1)), [0, 1, 0]),
+        (np.zeros((3, 2)), np.zeros((3, 1))),
+    ])
+    def test_design_shape_mismatch_rejected(self, X, sensitive):
+        with pytest.raises(ValidationError, match="one row per sensitive"):
+            fit_posterior(X, sensitive)
 
     def test_outputs_clamped(self):
         rng = np.random.default_rng(2)
         n = 2000
         a = rng.integers(0, 2, n)
         X = (a * 20.0 - 10.0).reshape(-1, 1) + rng.normal(0, 0.01, (n, 1))
-        data = Dataset(X, a, np.zeros(n, dtype=int))
-        eta = fit_posterior(data).predict_proba(X, np.zeros(n))
+        eta = fit_posterior(X, a).predict_proba(X)
         assert eta.min() >= 1e-6 and eta.max() <= 1 - 1e-6
 
     def test_fit_metadata_recorded(self):
         data = anchor_data(n=3000)
-        model = fit_posterior(data)
+        model = fit_posterior(ccn_design(data), data.sensitive)
         assert model.iterations >= 1
-        assert model.final_loss > 0.0
         assert model.converged in (True, False)
 
 
@@ -179,6 +192,21 @@ class TestEstimatorProperties:
             dp_, dm = rng.uniform(-0.02, 0.02, 2)
             lhs = abs(tau_prime(rp + dp_, rm + dm) - tau_prime(rp, rm))
             assert lhs <= tau * C * (abs(dp_) + abs(dm)) * 1.02 + 1e-12
+
+
+class TestPinnedOutputs:
+    """Both rate estimates on one seeded corrupted anchor sample, pinned bit
+    for bit (as ``float.hex``): a change to the posterior fit or its design
+    matrix that moves the last digit fails here, not only in the sweep."""
+
+    def test_rates_pinned(self):
+        _, corr = corrupted_anchor(0.2, 0.1)
+        ccn = estimate_ccn_rates(corr)
+        eo = estimate_eo_rates(corr)
+        assert [ccn.rho_plus.hex(), ccn.rho_minus.hex()] == [
+            "0x1.810624dd2f1a8p-3", "0x1.6c8b439581062p-4"]
+        assert [eo.alpha_prime.hex(), eo.beta_prime.hex()] == [
+            "0x1.32733e65a6726p-4", "0x1.c380e7e17d604p-3"]
 
 
 class TestDeterminism:

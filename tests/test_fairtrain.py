@@ -138,6 +138,23 @@ class TestTrainFair:
         assert not model.trace.feasible
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(outer_iterations=0), dict(base_iterations=-3),
+        dict(presolve_base_iterations=0), dict(presolve_base_iterations=-3),
+        dict(presolve_iterations=-1)])
+    def test_bad_iteration_counts_rejected(self, bad):
+        with pytest.raises(ValidationError, match="must be >="):
+            TrainConfig(**bad)
+
+    @pytest.mark.parametrize("ok", [
+        dict(presolve_iterations=0, presolve_base_iterations=1),
+        dict(outer_iterations=4, base_iterations=5, presolve_iterations=3,
+             presolve_base_iterations=10)])
+    def test_small_iteration_counts_accepted(self, ok):
+        assert TrainConfig(**ok).presolve_iterations == ok["presolve_iterations"]
+
+
 class TestTrainFairNoisy:
     def test_zero_noise_identical_to_plain_training(self, synth_data):
         spec = FairnessSpec(DP, tolerance=0.1)

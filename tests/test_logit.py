@@ -104,7 +104,11 @@ def _unbuffered_fit(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
         H[d, d] = h.sum()
         try:
             step = np.linalg.solve(H, -g)
+            if not np.isfinite(step).all():
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
+            if not np.isfinite(H).all():
+                break
             step = np.linalg.lstsq(H, -g, rcond=None)[0]
         slope = float(g @ step)
         a = 1.0
@@ -348,6 +352,31 @@ class TestDegenerateInputs:
                                               coef0=coef0, intercept0=-0.25)
         assert np.isfinite(coef).all() and np.isfinite(b)
         assert np.isfinite(gnorm) and n_iter >= 1
+
+    def test_nearly_singular_hessian_takes_the_least_squares_step(self):
+        # One row with a huge feature and a warm start: the curvature
+        # weights underflow, so H is nearly (not exactly) singular and the
+        # solve returns a non-finite step without raising; the step must
+        # come from the least-squares fallback, without warnings.
+        X, targets, weights, coef0 = _problem(1, 1, seed=690)
+        args = (X * 120356.00385591843, targets, weights)
+        start = dict(reg=1e-3, coef0=coef0 * 1.9186980270606515,
+                     intercept0=-0.0297251832326413)
+        got = _fit_quietly(*args, **start)
+        assert np.isfinite(got[0]).all() and np.isfinite(got[1])
+        assert np.isfinite(got[3]) and got[2] >= 1
+        _assert_same_fit(got, _unbuffered_fit(*args, **start))
+
+    def test_overflowing_hessian_stops_without_raising(self):
+        # Finite features near 1e160 overflow the Hessian to inf, so neither
+        # the solve nor the least-squares step is usable: the fit must stay
+        # at its start instead of raising from the least-squares solver.
+        X, targets, weights, _ = _problem(20, 2, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            coef, b, n_iter, gnorm = fit_logistic(1e160 * X, targets, weights)
+        assert np.array_equal(coef, np.zeros(2)) and b == 0.0
+        assert n_iter == 1 and gnorm == np.inf
 
     def test_no_decrease_stops_without_a_step(self):
         # Started at the optimum with tol = 0, the Newton steps are rounding
