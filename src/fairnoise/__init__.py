@@ -8,8 +8,8 @@ benchmark harness.
 """
 
 from .core import (ConstantScorer, Criterion, Dataset, DiscretePopulation,
-                   FairnessLoss, FairnessSpec, LabeledExample, LinearScorer,
-                   accuracy_risk, condition_population, ddp, deo, disparity,
+                   FairnessLoss, FairnessSpec, LinearScorer, accuracy_risk,
+                   condition_population, ddp, deo, disparity,
                    mean_fairness_loss, predictions)
 from .denoise import DenoiseReport, denoise_ccn
 from .estimation import (EstimatorConfig, PosteriorModel, estimate_ccn_rates,
@@ -18,8 +18,8 @@ from .fairtrain import (FairClassifier, TrainConfig, TrainingTrace,
                         conservative_half_tolerance, load_model,
                         mean_diff_from_reduction, reduction_constraint_value,
                         save_model, train_fair, train_fair_noisy)
-from .noise import (CCNNoise, DPParams, EOConditionalNoise, MCNoise,
-                    ccn_to_mc, ccn_to_mc_from_corrupted, corrupt_population,
+from .noise import (CCNNoise, EOConditionalNoise, MCNoise, ccn_to_mc,
+                    ccn_to_mc_from_corrupted, corrupt_population,
                     dp_epsilon_for_rho, dp_rho_for_epsilon, inject_ccn,
                     inject_pu, mc_to_eo, scale_tolerance)
 

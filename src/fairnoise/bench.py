@@ -13,12 +13,12 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .core import (Criterion, Dataset, DiscretePopulation, FairnessLoss,
-                   FairnessSpec, accuracy_risk, ddp, deo, disparity)
+                   FairnessSpec, accuracy_risk, disparity)
 from .denoise import denoise_ccn
 from .errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
                      ParseError, SchemaError, ValidationError)
@@ -27,9 +27,6 @@ from .fairtrain import TrainConfig, train_fair, train_fair_noisy
 from .noise import CCNNoise, inject_ccn, merge_cells
 
 METHODS = ("nocor", "cor", "cor_scale", "denoise")
-RESULT_COLUMNS = ("method", "tau", "tau_prime", "rho_plus_hat",
-                  "rho_minus_hat", "split", "fairness_violation", "error",
-                  "seed", "repetition")
 AGG_COLUMNS = ("method", "tau", "rho_plus_hat", "rho_minus_hat", "split",
                "n", "mean_fairness_violation", "std_fairness_violation",
                "mean_error", "std_error")
@@ -235,11 +232,6 @@ def materialize(pop, denominator):
                    np.repeat(pop.sensitive, counts), np.repeat(pop.target, counts))
 
 
-def population_oracle(pop, scorer):
-    """Exact mass-weighted (ddp, deo, risk) of a scorer on a population."""
-    return (ddp(pop, scorer), deo(pop, scorer), accuracy_risk(pop, scorer))
-
-
 def mix_populations(pop_a, pop_b, weight_a):
     """Mixture weight_a * pop_a + (1-weight_a) * pop_b, cells merged."""
     if not 0.0 <= weight_a <= 1.0:
@@ -308,6 +300,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One results-table row; the fields are the CSV columns, in order, and
+    None (a failed cell, or a method that uses no rates) is written empty."""
+
     method: str
     tau: float
     tau_prime: float
@@ -318,6 +313,9 @@ class ResultRow:
     error: float
     seed: int
     repetition: int
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def default_experiment_config():
@@ -398,8 +396,7 @@ def run_cell(config, data, rep, method):
         fit_set = train_set
         if method == "denoise":
             try:
-                fit_set, _ = denoise_ccn(train_set, CCNNoise(*pair),
-                                         config.estimator)
+                fit_set, _ = denoise_ccn(train_set, CCNNoise(*pair))
             except FairnoiseError as exc:
                 fail(f"rho_hat={pair}", exc, pair, specs)
                 continue
@@ -488,25 +485,13 @@ def emit_results(rows, path):
 
 
 def read_results(path):
-    """Parse a results CSV back into ResultRow objects."""
+    """Parse a results CSV back into ResultRow objects: an empty cell reads
+    as None, any other as its field's annotated type."""
+    types = [f.type for f in fields(ResultRow)]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULT_COLUMNS:
+        if tuple(next(reader)) != RESULT_COLUMNS:
             raise SchemaError("unexpected results header")
-        rows = []
-        for rec in reader:
-            vals = dict(zip(RESULT_COLUMNS, rec))
-            rows.append(ResultRow(
-                method=vals["method"], tau=float(vals["tau"]),
-                tau_prime=float(vals["tau_prime"]) if vals["tau_prime"] else None,
-                rho_plus_hat=(float(vals["rho_plus_hat"])
-                              if vals["rho_plus_hat"] else None),
-                rho_minus_hat=(float(vals["rho_minus_hat"])
-                               if vals["rho_minus_hat"] else None),
-                split=vals["split"],
-                fairness_violation=(float(vals["fairness_violation"])
-                                    if vals["fairness_violation"] else None),
-                error=float(vals["error"]) if vals["error"] else None,
-                seed=int(vals["seed"]), repetition=int(vals["repetition"])))
-    return rows
+        return [ResultRow(*(t(cell) if cell else None
+                            for t, cell in zip(types, rec)))
+                for rec in reader]

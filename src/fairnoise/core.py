@@ -11,7 +11,7 @@ score of exactly 0 predicts class 0.
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,21 +36,6 @@ DEFAULT_LOSS = {
     Criterion.DEMOGRAPHIC_PARITY: FairnessLoss.PREDICT_NONPOSITIVE,
     Criterion.EQUAL_OPPORTUNITY: FairnessLoss.ZERO_ONE,
 }
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """One (features, sensitive bit, target bit) triplet."""
-
-    features: tuple
-    sensitive: int
-    target: int
-
-    def __post_init__(self):
-        if self.sensitive not in (0, 1):
-            raise ValidationError(f"sensitive must be 0 or 1, got {self.sensitive}")
-        if self.target not in (0, 1):
-            raise ValidationError(f"target must be 0 or 1, got {self.target}")
 
 
 def _binary_array(values, name):
@@ -92,20 +77,6 @@ class Dataset:
         # through __setattr__, which refuses
         return Dataset, (self.features, self.sensitive, self.target)
 
-    @classmethod
-    def from_examples(cls, examples):
-        examples = list(examples)
-        if not examples:
-            raise EmptyDataset("cannot build a Dataset from zero examples")
-        d = len(examples[0].features)
-        if any(len(e.features) != d for e in examples):
-            raise ValidationError("all examples must share one feature dimension")
-        return cls(
-            np.array([e.features for e in examples], dtype=float),
-            [e.sensitive for e in examples],
-            [e.target for e in examples],
-        )
-
     @property
     def n(self):
         return self.features.shape[0]
@@ -116,11 +87,6 @@ class Dataset:
 
     def __len__(self):
         return self.n
-
-    def __iter__(self):
-        for i in range(self.n):
-            yield LabeledExample(tuple(self.features[i]),
-                                 int(self.sensitive[i]), int(self.target[i]))
 
     def base_rate(self):
         """Empirical P[A=1]."""
@@ -178,17 +144,6 @@ class DiscretePopulation:
         object.__setattr__(self, "sensitive", a)
         object.__setattr__(self, "target", y)
         object.__setattr__(self, "mass", m)
-
-    @classmethod
-    def from_cells(cls, cells):
-        """Build from (features, sensitive, target, mass) tuples."""
-        cells = list(cells)
-        return cls(
-            np.array([c[0] for c in cells], dtype=float),
-            [c[1] for c in cells],
-            [c[2] for c in cells],
-            [c[3] for c in cells],
-        )
 
     @property
     def n_cells(self):

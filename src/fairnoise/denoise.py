@@ -10,7 +10,7 @@ from math import ceil
 import numpy as np
 
 from .errors import EmptySlice
-from .estimation import EstimatorConfig, ccn_design, fit_posterior
+from .estimation import ccn_design, fit_posterior
 
 LABEL = "denoise (simplified)"
 
@@ -27,16 +27,16 @@ class DenoiseReport:
     entire_group_relabeled: bool
 
 
-def denoise_ccn(data, rates, config=EstimatorConfig()):
+def denoise_ccn(data, rates):
     """Relabel the most suspect sensitive bits given CCN rates.
 
     Fits the group-membership posterior, then flips the ceil(rho+ * |A=1|)
     lowest-posterior members of the apparent A=1 group to 0 and the
     ceil(rho- * |A=0|) highest-posterior members of the apparent A=0 group
     to 1. Ranking uses the posterior's raw score (the calibrated
-    probability is piecewise constant, which would tie whole blocks);
-    score ties break by original index order. Features and targets are
-    untouched.
+    probability is piecewise constant, which would tie whole blocks), so
+    no calibration setting can change the result; score ties break by
+    original index order. Features and targets are untouched.
     """
     if len(data) == 0:
         raise EmptySlice("cannot denoise empty data")
@@ -46,7 +46,7 @@ def denoise_ccn(data, rates, config=EstimatorConfig()):
         raise EmptySlice("both apparent groups must be present")
 
     X = ccn_design(data)
-    eta = fit_posterior(X, data.sensitive, config).scores(X)
+    eta = fit_posterior(X, data.sensitive).scores(X)
 
     k1 = min(len(idx1), ceil(rates.rho_plus * len(idx1)))
     k0 = min(len(idx0), ceil(rates.rho_minus * len(idx0)))

@@ -87,7 +87,8 @@ def fit_posterior(X, sensitive, config=EstimatorConfig()):
     """Fit the calibrated posterior of the (possibly corrupted) sensitive
     bit on the design ``X``, one row per entry of ``sensitive``:
     ``ccn_design(data)`` for the CCN rates, the Y=1 slice's features for
-    the EO rates. Deterministic given the config and the row order.
+    the EO rates. ``X`` must be finite and ``sensitive`` binary (else a
+    ``ValidationError``). Deterministic given the config and the row order.
 
     A fit that stops with the gradient norm above 1e-6 (where no step
     lowers the loss, or at ``fit_logistic``'s iteration cap) emits a
@@ -97,6 +98,10 @@ def fit_posterior(X, sensitive, config=EstimatorConfig()):
     t = np.asarray(sensitive, dtype=float)
     if X.ndim != 2 or t.ndim != 1 or len(X) != len(t):
         raise ValidationError("X must be 2-d with one row per sensitive value")
+    if not np.isin(t, (0.0, 1.0)).all():
+        raise ValidationError("sensitive entries must be 0 or 1")
+    if not np.isfinite(X).all():
+        raise ValidationError("X must be finite")
     n = len(t)
     if n == 0:
         raise EmptySlice("cannot fit a posterior on empty data")

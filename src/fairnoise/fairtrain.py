@@ -17,6 +17,7 @@ iterate average), and the internally enforced tolerance is shrunk by a
 small margin that absorbs the boundary-riding generalization gap.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from ._logit import fit_logistic
 from .core import (Criterion, FairnessLoss, FairnessSpec, LinearScorer,
-                   fairness_loss_values, mean_fairness_loss, predictions)
-from .errors import (EmptySlice, InfeasibleWarning, OutOfRangeWeight,
-                     PairingWarning, ValidationError)
+                   fairness_loss_values, mean_fairness_loss)
+from .errors import (EmptySlice, InfeasibleWarning, NumericalError,
+                     OutOfRangeWeight, PairingWarning, ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
 from .noise import (CCNNoise, EOConditionalNoise, MCNoise,
                     ccn_to_mc_from_corrupted, mc_to_eo, scale_tolerance)
@@ -94,8 +95,8 @@ class TrainingTrace:
 
 
 class FairClassifier(LinearScorer):
-    """The trained linear scorer, with sign-threshold prediction and the
-    diagnostics of the training run that produced it."""
+    """The trained linear scorer (``core.predictions`` thresholds it) and
+    the diagnostics of the training run that produced it."""
 
     __slots__ = ("trace",)
 
@@ -106,9 +107,6 @@ class FairClassifier(LinearScorer):
     @property
     def dimension(self):
         return len(self.coef)
-
-    def predict(self, X):
-        return predictions(self, X)
 
 
 def _criterion_masks(data, criterion):
@@ -157,9 +155,14 @@ class _Reduction:
             push_label = np.where(c > 0, self.yf, 1.0 - self.yf)
         u = 1.0 / self.n + push
         t = (self.yf / self.n + push * push_label) / u
-        self.coef, self.intercept, _, _ = fit_logistic(
+        self.coef, self.intercept, _, gnorm = fit_logistic(
             self.X, t, u, reg=self.config.regularization, max_iter=iters,
             coef0=self.coef, intercept0=self.intercept)
+        if not math.isfinite(gnorm):
+            # the features overflow the fit: the result is no best response
+            raise NumericalError(
+                f"a best-response fit overflowed (gradient norm {gnorm}); "
+                "the features are too large to fit, rescale them")
         return self.coef.copy(), self.intercept
 
     def stats(self):

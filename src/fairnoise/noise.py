@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DiscretePopulation
+from .core import DiscretePopulation
 from .errors import (DegenerateBaseRate, DegenerateConditional, EmptySlice,
                      InvalidBaseRate, NonPositiveEpsilon, OutOfRangeRho,
                      ValidationError)
@@ -76,20 +76,6 @@ class EOConditionalNoise:
     @property
     def rate_sum(self):
         return self.alpha_prime + self.beta_prime
-
-
-@dataclass(frozen=True)
-class DPParams:
-    """(epsilon, delta=0) differential-privacy target for randomized response."""
-
-    epsilon: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise NonPositiveEpsilon("epsilon must be > 0")
-        if self.delta != 0.0:
-            raise ValidationError("only delta = 0 is supported")
 
 
 def inject_ccn(data, noise, seed):

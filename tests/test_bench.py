@@ -12,12 +12,12 @@ from fairnoise.bench import (METHODS, ExperimentConfig, ResultRow,
                              SyntheticConfig, default_experiment_config,
                              disparity_synthetic_config, emit_results,
                              load_csv, materialize, mix_populations,
-                             population_oracle, read_results, run_sweep,
+                             read_results, run_sweep,
                              synth_generate, write_csv, _inject_seed,
                              _sort_key, _split)
 from fairnoise.core import (ConstantScorer, Criterion, Dataset,
                             DiscretePopulation, FairnessSpec, LinearScorer,
-                            accuracy_risk, ddp, disparity)
+                            accuracy_risk, ddp, deo, disparity)
 from fairnoise.denoise import denoise_ccn
 from fairnoise.errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
                               ParseError, SchemaError, ValidationError)
@@ -157,14 +157,16 @@ class TestOracles:
     def test_uniform_population_constant_scorer(self):
         pop = DiscretePopulation(np.zeros((4, 1)), [0, 0, 1, 1], [0, 1, 0, 1],
                                  [0.25] * 4)
-        d, e, r = population_oracle(pop, ConstantScorer(1.0))
+        scorer = ConstantScorer(1.0)
+        d, e, r = ddp(pop, scorer), deo(pop, scorer), accuracy_risk(pop, scorer)
         assert d == 0.0 and e == 0.0
         assert r == pytest.approx(0.5, abs=1e-15)
 
     def test_two_cell_hand_computed(self):
         pop = DiscretePopulation(np.array([[1.0], [-1.0]]), [0, 1], [1, 1],
                                  [0.3, 0.7])
-        d, e, r = population_oracle(pop, LinearScorer([1.0]))
+        scorer = LinearScorer([1.0])
+        d, e, r = ddp(pop, scorer), deo(pop, scorer), accuracy_risk(pop, scorer)
         assert d == pytest.approx(1.0, abs=1e-15)  # groups predict 1 vs 0
         assert e == pytest.approx(1.0, abs=1e-15)
         assert r == pytest.approx(0.7, abs=1e-15)
@@ -257,6 +259,22 @@ class TestRunSweep:
         assert len(rows) == 2
         assert all(r.fairness_violation is None and r.error is None for r in rows)
 
+    def test_overflowing_features_leave_empty_rows(self, tmp_path):
+        data = synth_generate(disparity_synthetic_config(n=400, seed=1))
+        p = tmp_path / "big.csv"
+        write_csv(Dataset(1e160 * data.features, data.sensitive, data.target), p)
+        cfg = ExperimentConfig(csv_path=str(p), methods=("nocor",),
+                               tau_grid=(0.1,), repetitions=1, train=FAST_TRAIN)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = run_sweep(cfg)
+        assert len(rows) == 2
+        assert all(r.fairness_violation is None and r.error is None for r in rows)
+        reasons = [str(w.message) for w in caught
+                   if issubclass(w.category, FairnoiseWarning)]
+        assert len(reasons) == 1 and "fit overflowed" in reasons[0]
+
     def test_rho_hat_sweep_mode(self):
         cfg = small_config(methods=("cor_scale",), tau_grid=(0.2,),
                            repetitions=1, noise_mode="rho_hat_sweep",
@@ -287,7 +305,9 @@ class TestRunSweep:
 class TestEmitResults:
     def test_schema_and_round_trip(self, tmp_path):
         cfg = small_config(tau_grid=(0.1,), repetitions=1)
-        rows = run_sweep(cfg)
+        # plus a failed cell's row: every optional cell empty
+        rows = run_sweep(cfg) + [ResultRow("cor_scale", 0.1, None, None, None,
+                                           "test", None, None, 3, 0)]
         out = tmp_path / "results.csv"
         agg = emit_results(rows, out)
         header = out.read_text().splitlines()[0]
@@ -437,9 +457,12 @@ class TestCsvDataSource:
 
 # ---------------------------------------------------------------------------
 # The per-(repetition, tau) runner that run_cell replaced, verbatim except
-# for the ``_ref_`` prefix on its names. It rebuilt the data, the split,
-# the injection, the rate estimate and the denoised set for every tau; the
-# per-(repetition, method) runner must give the same rows.
+# for the ``_ref_`` prefix on its names and one dropped argument: it passed
+# ``config.estimator`` to ``denoise_ccn``, which ranks rows by raw posterior
+# scores that no estimator setting reaches, so the argument was removed.
+# It rebuilt the data, the split, the injection, the rate estimate and the
+# denoised set for every tau; the per-(repetition, method) runner must give
+# the same rows.
 
 
 def _ref_load_data(config):
@@ -526,8 +549,7 @@ def _ref_run_cell(config, rep, tau):
         else:
             for pair in _ref_rate_pairs(config, corrupted):
                 def denoise_runner(pair=pair):
-                    cleaned, _ = denoise_ccn(corrupted, CCNNoise(*pair),
-                                             config.estimator)
+                    cleaned, _ = denoise_ccn(corrupted, CCNNoise(*pair))
                     return train_fair(cleaned, spec, config.train), None
                 record(method, pair, denoise_runner)
     return rows

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommand behavior and the exit-code contract."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,24 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "tau' = 0.140000" in out
         assert model_out.exists()
+
+    def test_overflowing_features_exit_3(self, tmp_path, capsys):
+        # Features near 1e160 overflow every best response's Hessian, so no
+        # fit leaves its start: training must fail, not save that all-zero
+        # start as a feasible model.
+        data = synth_generate(disparity_synthetic_config(n=400, seed=1))
+        src = tmp_path / "big.csv"
+        write_csv(Dataset(1e160 * data.features, data.sensitive, data.target),
+                  src)
+        model_out = tmp_path / "m.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["train", "--input", str(src), "--tau", "0.1",
+                       "--model-out", str(model_out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "fit overflowed" in err
+        assert not model_out.exists()
 
     def test_conflicting_noise_flags_exit_1(self, csv_path, tmp_path):
         rc = main(["train", "--input", str(csv_path), "--tau", "0.1",

@@ -7,9 +7,8 @@ import pytest
 
 from fairnoise.core import (ConstantScorer, Criterion, Dataset,
                             DiscretePopulation, FairnessLoss, FairnessSpec,
-                            LabeledExample, LinearScorer, accuracy_risk,
-                            condition_population, ddp, deo,
-                            mean_fairness_loss, predictions)
+                            LinearScorer, accuracy_risk, condition_population,
+                            ddp, deo, mean_fairness_loss, predictions)
 from fairnoise.errors import (EmptyDataset, EmptySlice, PairingWarning,
                               ValidationError)
 
@@ -186,12 +185,6 @@ class TestInvariants:
 
 
 class TestDataModel:
-    def test_labeled_example_validation(self):
-        with pytest.raises(ValidationError):
-            LabeledExample((0.0,), 2, 0)
-        with pytest.raises(ValidationError):
-            LabeledExample((0.0,), 0, -1)
-
     def test_dataset_validation(self):
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 2)), [0, 2], [0, 1])
@@ -219,16 +212,6 @@ class TestDataModel:
             back.sensitive = np.array([1, 1, 1])
         with pytest.raises(ValueError):
             back.features[0, 0] = 5.0
-
-    def test_from_examples_roundtrip(self):
-        examples = [LabeledExample((1.0, 2.0), 0, 1),
-                    LabeledExample((3.0, 4.0), 1, 0)]
-        data = Dataset.from_examples(examples)
-        assert list(data) == examples
-        assert data.dimension == 2
-        with pytest.raises(ValidationError):
-            Dataset.from_examples([LabeledExample((1.0,), 0, 0),
-                                   LabeledExample((1.0, 2.0), 0, 0)])
 
     def test_population_mass_validation(self):
         with pytest.raises(ValidationError):

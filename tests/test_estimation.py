@@ -71,9 +71,15 @@ class TestFitPosterior:
         (np.zeros(3), [0, 1, 0]),
         (np.zeros((3, 2, 1)), [0, 1, 0]),
         (np.zeros((3, 2)), np.zeros((3, 1))),
+        # malformed values, not shapes
+        pytest.param([[0.], [1.], [2.], [3.]], [0, 2, 5, 1],
+                     id="nonbinary_sensitive"),
+        pytest.param([[0.], [np.nan], [2.], [3.]], [0, 1, 0, 1],
+                     id="nonfinite_X"),
     ])
     def test_design_shape_mismatch_rejected(self, X, sensitive):
-        with pytest.raises(ValidationError, match="one row per sensitive"):
+        with pytest.raises(ValidationError, match="one row per sensitive|"
+                           "sensitive entries must be 0 or 1|X must be finite"):
             fit_posterior(X, sensitive)
 
     def test_outputs_clamped(self):

@@ -360,7 +360,7 @@ class TestModelPersistence:
         assert loaded.intercept == model.intercept
         X = np.random.default_rng(8).normal(0, 2, (500, synth_data.dimension))
         assert np.array_equal(loaded.scores(X), model.scores(X))
-        assert np.array_equal(loaded.predict(X), model.predict(X))
+        assert np.array_equal(predictions(loaded, X), predictions(model, X))
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -11,7 +11,7 @@ from fairnoise.core import (Dataset, DiscretePopulation, FairnessLoss,
 from fairnoise.errors import (DegenerateBaseRate, DegenerateConditional,
                               EmptySlice, InvalidBaseRate, NonPositiveEpsilon,
                               OutOfRangeRho, ValidationError)
-from fairnoise.noise import (CCNNoise, DPParams, EOConditionalNoise, MCNoise,
+from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
                              ccn_to_mc, ccn_to_mc_from_corrupted,
                              corrupt_population, dp_epsilon_for_rho,
                              dp_rho_for_epsilon, inject_ccn, inject_pu,
@@ -59,12 +59,6 @@ class TestNoiseParams:
             EOConditionalNoise(-0.1, 0.2)
         assert MCNoise(0.6, 0.39).rate_sum == pytest.approx(0.99)
 
-    def test_dp_params(self):
-        assert DPParams(1.0).delta == 0.0
-        with pytest.raises(NonPositiveEpsilon):
-            DPParams(0.0)
-        with pytest.raises(ValidationError):
-            DPParams(1.0, delta=1e-6)
 
 
 class TestInjectCcn:
