@@ -31,8 +31,10 @@ Kernel contract:
   duplicated column at ``reg = 0``), or a nearly singular one whose
   solve is not finite, gets the least-squares, minimum-norm Newton step;
   when the Hessian overflows, or no step length decreases the loss, the
-  fit stops where it is. A trial step whose loss overflows is rejected
-  without a floating-point warning.
+  fit stops where it is. A trial step whose loss overflows is rejected.
+- A fit emits no floating-point warning. Input so large that the
+  gradient overflows ends the fit with a non-finite gradient norm, which
+  every caller turns into a ``NumericalError``.
 """
 
 import math
@@ -53,6 +55,7 @@ def sigmoid(z):
     return p
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
                  coef0=None, intercept0=0.0):
     """Minimise sum_i w_i * CE(sigmoid(x_i.w + b), t_i) / sum(w) + reg/2 ||w||^2.
@@ -128,17 +131,16 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
         a = 1.0
         # a huge trial step can overflow to a non-finite loss, which the
         # comparison rejects like any other non-decrease
-        with np.errstate(over="ignore"):
-            for _ in range(_HALVINGS):
-                v = z + a * step
-                np.matmul(X, v[:d], out=trial)
-                trial += v[d]
-                f_new = loss(trial, v)
-                if f_new < f and f_new <= f + _ARMIJO * a * slope:
-                    break
-                a *= 0.5
-            else:
-                break  # no step length decreases the loss: stay put
+        for _ in range(_HALVINGS):
+            v = z + a * step
+            np.matmul(X, v[:d], out=trial)
+            trial += v[d]
+            f_new = loss(trial, v)
+            if f_new < f and f_new <= f + _ARMIJO * a * slope:
+                break
+            a *= 0.5
+        else:
+            break  # no step length decreases the loss: stay put
         z[:] = v
         f = f_new
         score, trial = trial, score

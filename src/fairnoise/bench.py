@@ -14,6 +14,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,9 @@ AGG_COLUMNS = ("method", "tau", "rho_plus_hat", "rho_minus_hat", "split",
                "mean_error", "std_error")
 
 _CELL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
+# CSV I/O: bytes per block of the line count, rows per formatted write
+_READ_BLOCK = 1 << 20
+_WRITE_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,71 @@ def load_csv(path, drop_missing=False):
     Missing cells are a ``ParseError`` unless ``drop_missing`` removes the
     affected rows; non-numeric and non-finite cells are always errors.
     Returns the dataset; feature column order follows the file.
+
+    A plain numeric file is parsed by numpy's C reader; any other input
+    goes through the row-by-row parser, which alone reports errors, so the
+    result and every error are those of ``_parse_csv``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _parse_csv(fh, drop_missing)
+    data = _load_numeric(path)
+    if data is None:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            data = _parse_csv(fh, drop_missing)
+    return data
+
+
+def _load_numeric(path):
+    """The dataset in ``path`` parsed by ``np.loadtxt`` from the open
+    file, or None unless the file is plain: a valid header line without
+    quotes, then UTF-8 lines of finite numbers, one per column, with 0/1
+    `sensitive` and `label` cells, and no bare ``\\r``.
+
+    On a plain file both parsers give the same floats, bit for bit, since
+    both round correctly. ``loadtxt`` skips empty lines, which
+    ``_parse_csv`` rejects, so it must return one row per line.
+    """
+    with open(path, "rb") as fh:
+        newlines = crs = crlfs = 0
+        last = b""
+        for block in iter(partial(fh.read, _READ_BLOCK), b""):
+            newlines += block.count(b"\n")
+            crs += block.count(b"\r")
+            crlfs += block.count(b"\r\n") + (last == b"\r" and block[:1] == b"\n")
+            last = block[-1:]
+        lines = newlines + (last not in (b"", b"\n"))
+        fh.seek(0)
+        head = fh.readline()
+        # a bare \r ends a row for the csv module but not for loadtxt
+        if crs != crlfs or b'"' in head or lines < 2:
+            return None
+        try:
+            header = [h.strip() for h in next(csv.reader([head.decode()]))]
+            a_col, y_col, feat_cols = _columns(header)
+            with warnings.catch_warnings():
+                # a body of empty lines warns "input contained no data";
+                # the row count below rejects it
+                warnings.simplefilter("ignore")
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  encoding="utf-8")
+        except (ValueError, csv.Error, SchemaError):
+            return None
+    if rows.shape != (lines - 1, len(header)) or not np.isfinite(rows).all():
+        return None
+    a, y = rows[:, a_col], rows[:, y_col]
+    if not (np.isin(a, (0.0, 1.0)).all() and np.isin(y, (0.0, 1.0)).all()):
+        return None
+    return Dataset(rows[:, feat_cols], a, y)
+
+
+def _columns(header):
+    """(sensitive index, label index, feature indices) of a stripped header."""
+    for required in ("sensitive", "label"):
+        if required not in header:
+            raise SchemaError(f"CSV header is missing the {required!r} column")
+    if len(set(header)) != len(header):
+        raise SchemaError("CSV header has duplicate column names")
+    a_col = header.index("sensitive")
+    y_col = header.index("label")
+    return a_col, y_col, [i for i in range(len(header)) if i not in (a_col, y_col)]
 
 
 def _parse_csv(fh, drop_missing):
@@ -142,14 +208,7 @@ def _parse_csv(fh, drop_missing):
     except StopIteration:
         raise SchemaError("CSV file has no header row") from None
     header = [h.strip() for h in header]
-    for required in ("sensitive", "label"):
-        if required not in header:
-            raise SchemaError(f"CSV header is missing the {required!r} column")
-    if len(set(header)) != len(header):
-        raise SchemaError("CSV header has duplicate column names")
-    a_col = header.index("sensitive")
-    y_col = header.index("label")
-    feat_cols = [i for i in range(len(header)) if i not in (a_col, y_col)]
+    a_col, y_col, feat_cols = _columns(header)
 
     feats, sens, labels, dropped = [], [], [], []
     for rownum, row in enumerate(reader, start=2):
@@ -200,18 +259,23 @@ def csv_feature_names(path):
 def write_csv(data, path, feature_names=None):
     """Write a dataset as CSV (features, then sensitive, then label).
 
-    Floats use repr, so a write-then-load round trip is bit-exact.
+    Floats use repr, so a write-then-load round trip is bit-exact. The
+    bytes are those of a `csv.writer` row per example (``\\r\\n`` line
+    ends, no quoting, since no float repr or 0/1 needs it); the rows are
+    formatted column-wise, ``_WRITE_CHUNK`` rows at a time.
     """
     d = data.dimension
     names = list(feature_names) if feature_names else [f"x{i}" for i in range(d)]
     if len(names) != d:
         raise ValidationError("feature_names length must match the dimension")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["sensitive", "label"])
-        for i in range(len(data)):
-            writer.writerow([repr(float(v)) for v in data.features[i]]
-                            + [int(data.sensitive[i]), int(data.target[i])])
+        csv.writer(fh).writerow(names + ["sensitive", "label"])
+        for start in range(0, len(data), _WRITE_CHUNK):
+            rows = slice(start, start + _WRITE_CHUNK)
+            cols = [map(repr, col.tolist()) for col in data.features[rows].T]
+            cols += [map(str, data.sensitive[rows].tolist()),
+                     map(str, data.target[rows].tolist())]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +550,19 @@ def emit_results(rows, path):
 
 def read_results(path):
     """Parse a results CSV back into ResultRow objects: an empty cell reads
-    as None, any other as its field's annotated type."""
+    as None, any other as its field's annotated type. A row without one
+    cell per column is a ``SchemaError`` naming its file row."""
     types = [f.type for f in fields(ResultRow)]
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader)) != RESULT_COLUMNS:
             raise SchemaError("unexpected results header")
-        return [ResultRow(*(t(cell) if cell else None
-                            for t, cell in zip(types, rec)))
-                for rec in reader]
+        for rownum, rec in enumerate(reader, start=2):
+            if len(rec) != len(RESULT_COLUMNS):
+                raise SchemaError(
+                    f"results row {rownum} has {len(rec)} cells, "
+                    f"expected {len(RESULT_COLUMNS)}")
+            rows.append(ResultRow(*(t(cell) if cell else None
+                                    for t, cell in zip(types, rec))))
+    return rows

@@ -12,6 +12,7 @@ recalibrated by equal-count binning of the training scores, which keeps
 the estimate inside the empirically observed rate range.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._logit import fit_logistic
 from .errors import (DegenerateEstimateWarning, EmptySlice,
-                     NonConvergenceWarning, ValidationError)
+                     NonConvergenceWarning, NumericalError, ValidationError)
 from .noise import CCNNoise, EOConditionalNoise, ccn_to_mc_from_corrupted
 
 _CLAMP = 1e-6
@@ -92,7 +93,8 @@ def fit_posterior(X, sensitive, config=EstimatorConfig()):
 
     A fit that stops with the gradient norm above 1e-6 (where no step
     lowers the loss, or at ``fit_logistic``'s iteration cap) emits a
-    ``NonConvergenceWarning`` (the model is still returned).
+    ``NonConvergenceWarning`` (the model is still returned); one whose
+    gradient overflows raises ``NumericalError``.
     """
     X = np.asarray(X, dtype=float)
     t = np.asarray(sensitive, dtype=float)
@@ -107,6 +109,10 @@ def fit_posterior(X, sensitive, config=EstimatorConfig()):
         raise EmptySlice("cannot fit a posterior on empty data")
     coef, b, iters, gnorm = fit_logistic(
         X, t, np.full(n, 1.0 / n), reg=1.0 / n, tol=_GRAD_TOL)
+    if not math.isfinite(gnorm):
+        raise NumericalError(
+            f"the posterior fit overflowed (gradient norm {gnorm}); "
+            "the features are too large to fit, rescale them")
     converged = gnorm <= _GRAD_TOL
     if not converged:
         warnings.warn(

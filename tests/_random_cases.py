@@ -1,7 +1,9 @@
-"""Shared randomized-case generators for the test suite."""
+"""Shared randomized-case generators and CSV-load comparisons for the test
+suite."""
 
 import numpy as np
 
+from fairnoise.bench import _parse_csv
 from fairnoise.core import Dataset, DiscretePopulation, LinearScorer
 
 
@@ -75,3 +77,22 @@ def mutate_file_text(rng, text, sep, kind):
     else:
         raise ValueError(f"unknown mutation {kind!r}")
     return ("\n".join(sep.join(row) for row in lines) + "\n").encode()
+
+
+def row_parser_load(path, drop_missing=False):
+    """``load_csv`` by the row-by-row parser alone: the reference for the
+    numpy fast path's results and errors."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return _parse_csv(fh, drop_missing)
+
+
+def csv_load_outcome(load, path, drop_missing=False):
+    """What ``load(path, drop_missing)`` gives: ``("raises", type, text)``,
+    or ``("ok", ...)`` with the dtype, shape and bytes of each array, so
+    that equal outcomes mean equal errors or bit-identical datasets."""
+    try:
+        data = load(path, drop_missing)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return ("ok",) + tuple((a.dtype, a.shape, a.tobytes()) for a in
+                           (data.features, data.sensitive, data.target))

@@ -1,20 +1,25 @@
 """Benchmark harness tests: data IO, synthetic generation, oracles and the
 sweep protocol."""
 
+import csv
 import warnings
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _random_cases import csv_load_outcome, random_dataset, row_parser_load
+from fairnoise import bench
 from fairnoise._logit import fit_logistic
 from fairnoise.bench import (METHODS, ExperimentConfig, ResultRow,
-                             SyntheticConfig, default_experiment_config,
+                             SyntheticConfig, anchor_synthetic_config,
+                             default_experiment_config,
                              disparity_synthetic_config, emit_results,
                              load_csv, materialize, mix_populations,
                              read_results, run_sweep,
                              synth_generate, write_csv, _inject_seed,
-                             _sort_key, _split)
+                             _load_numeric, _sort_key, _split)
 from fairnoise.core import (ConstantScorer, Criterion, Dataset,
                             DiscretePopulation, FairnessSpec, LinearScorer,
                             accuracy_risk, ddp, deo, disparity)
@@ -95,6 +100,121 @@ class TestLoadCsv:
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.sensitive, data.sensitive)
         assert np.array_equal(back.target, data.target)
+
+
+def _row_writer(data, path, feature_names=None):
+    """``write_csv`` as it was before the chunked writer, verbatim: one
+    ``csv.writer`` row per example. The reference for the written bytes."""
+    d = data.dimension
+    names = list(feature_names) if feature_names else [f"x{i}" for i in range(d)]
+    if len(names) != d:
+        raise ValidationError("feature_names length must match the dimension")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names + ["sensitive", "label"])
+        for i in range(len(data)):
+            writer.writerow([repr(float(v)) for v in data.features[i]]
+                            + [int(data.sensitive[i]), int(data.target[i])])
+
+
+# (dataset, feature names) builders; 45,000 rows span three write chunks
+# and two 1 MiB blocks of the loader's line count
+_WRITE_CASES = {
+    "d1": lambda: (random_dataset(np.random.default_rng(1), n=300, dim=1), None),
+    "d2": lambda: (random_dataset(np.random.default_rng(2), n=300, dim=2), None),
+    "d4": lambda: (random_dataset(np.random.default_rng(4), n=300, dim=4), None),
+    "n1": lambda: (Dataset([[0.5, -2.0]], [1], [0]), None),
+    "45k_rows": lambda: (synth_generate(anchor_synthetic_config(n=45_000)), None),
+    "special_values": lambda: (Dataset([[-0.0, 5e-324], [1e16, 1e-05],
+                                        [0.1, -1.5e300]], [0, 1, 0], [1, 1, 0]),
+                               None),
+    "quoted_names": lambda: (random_dataset(np.random.default_rng(3), n=20, dim=3),
+                             ["a,b", 'say "hi"', "two\nlines"]),
+}
+
+_H = "x0,x1,sensitive,label\n"
+# raw file, drop_missing, the exception the row-by-row parser raises (None:
+# it loads the file)
+_LOAD_CASES = {
+    "blank_line": (_H + "1,2,0,1\n\n3,4,1,0\n", False, ParseError),
+    "blank_body": (_H + "\n", False, ParseError),
+    "whitespace_line": (_H + "1,2,0,1\n  \n3,4,1,0\n", False, ParseError),
+    "bare_cr_between_rows": (_H + "1,2,0,1\r3,4,1,0\n", False, None),
+    "bare_cr_in_row": (_H + "1,2\r,0,1\n", False, ParseError),
+    "crlf_and_lf": (_H + "1,2,0,1\r\n3,4,1,0\n", False, None),
+    "padded_cells": (_H + " 1.5 ,\t2,0 , 1\n", False, None),
+    "quoted_cell": (_H + '"1.5",2,0,1\n', False, None),
+    "quoted_header": ('"x0",x1,sensitive,label\n1.5,2,0,1\n', False, None),
+    "underscore_literal": (_H + "1_000,2,0,1\n", False, None),
+    "unicode_digit": (_H + "\u0661,2,0,1\n", False, None),
+    "comment_char": (_H + "#1,2,0,1\n", False, ParseError),
+    "nan": (_H + "nan,2,0,1\n", False, ParseError),
+    "inf": (_H + "1,-inf,0,1\n", False, ParseError),
+    "overflow_1e999": (_H + "1e999,2,0,1\n", False, ParseError),
+    "sensitive_2": (_H + "1,2,2,1\n", False, SchemaError),
+    "label_nan": (_H + "1,2,0,nan\n", False, SchemaError),
+    "negative_zero_label": (_H + "1,2,1,-0\n", False, None),
+    "empty_cell": (_H + "1,2,0,1\n1,,0,1\n3,4,1,0\n", False, ParseError),
+    "empty_cell_dropped": (_H + "1,2,0,1\n1,,0,1\n3,4,1,0\n", True, None),
+    "short_row": (_H + "1,2,0\n", False, ParseError),
+    "long_row": (_H + "1,2,0,1,5\n", False, ParseError),
+    "header_only": (_H, False, EmptyDataset),
+    "header_only_no_newline": (_H[:-1], False, EmptyDataset),
+    "empty_file": ("", False, SchemaError),
+    "no_label_column": ("x0,sensitive\n1,0\n", False, SchemaError),
+    "duplicate_column": ("x0,x0,sensitive,label\n1,2,0,1\n", False, SchemaError),
+    "no_features": ("sensitive,label\n0,1\n1,0\n", False, None),
+    "bad_byte": (_H.encode() + b"1,\xff,0,1\n", False, UnicodeDecodeError),
+    "bad_byte_header": (b"x0,\xff,sensitive,label\n1,2,0,1\n", False,
+                        UnicodeDecodeError),
+}
+
+
+class TestCsvFastPath:
+    """``load_csv`` reads plain numeric files with numpy and the rest with
+    the row-by-row parser; ``write_csv`` formats rows column-wise. Both
+    must match the row-by-row code bit for bit and error for error."""
+
+    @pytest.mark.parametrize("case", sorted(_WRITE_CASES))
+    def test_write_matches_row_writer(self, tmp_path, case):
+        data, names = _WRITE_CASES[case]()
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_csv(data, new, names)
+        _row_writer(data, ref, names)
+        assert new.read_bytes() == ref.read_bytes()
+        back = load_csv(new)
+        assert np.array_equal(back.features.view(np.uint64),
+                              data.features.view(np.uint64))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final_eol", [True, False])
+    @pytest.mark.parametrize("block", [2, 3, 1 << 20])
+    def test_load_bit_identical(self, tmp_path, monkeypatch, eol, final_eol,
+                                block):
+        # tiny blocks split \r\n pairs across the line count's reads
+        monkeypatch.setattr(bench, "_READ_BLOCK", block)
+        data = random_dataset(np.random.default_rng(5), n=40, dim=3)
+        p = tmp_path / "d.csv"
+        write_csv(data, p)
+        text = p.read_bytes().replace(b"\r\n", eol.encode())
+        p.write_bytes(text if final_eol else text[:-len(eol)])
+        fast = _load_numeric(p)
+        assert fast is not None  # a plain numeric file takes numpy's reader
+        for loaded in (fast, load_csv(p), row_parser_load(p)):
+            assert np.array_equal(loaded.features.view(np.uint64),
+                                  data.features.view(np.uint64))
+            assert np.array_equal(loaded.sensitive, data.sensitive)
+            assert np.array_equal(loaded.target, data.target)
+            assert loaded.sensitive.dtype == loaded.target.dtype == np.int64
+
+    @pytest.mark.parametrize("case", sorted(_LOAD_CASES))
+    def test_outcome_matches_row_parser(self, tmp_path, case):
+        raw, drop_missing, raised = _LOAD_CASES[case]
+        p = tmp_path / "d.csv"
+        p.write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+        got = csv_load_outcome(load_csv, p, drop_missing)
+        assert got == csv_load_outcome(row_parser_load, p, drop_missing)
+        assert got[:2] == (("raises", raised) if raised else ("ok", got[1]))
 
 
 class TestSynthGenerate:
@@ -328,9 +448,19 @@ class TestEmitResults:
                 for i, (v, e) in enumerate([(0.1, 0.2), (0.2, 0.3), (0.3, 0.4)])]
         out = tmp_path / "r.csv"
         agg_path = emit_results(rows, out)
-        line = open(agg_path).read().splitlines()[1].split(",")
+        line = Path(agg_path).read_text().splitlines()[1].split(",")
         assert float(line[6]) == pytest.approx(0.2, abs=1e-12)   # mean violation
         assert float(line[8]) == pytest.approx(0.3, abs=1e-12)   # mean error
+
+    @pytest.mark.parametrize("extra", ["nocor,0.1", "nocor" + ",0" * 10])
+    def test_row_with_wrong_cell_count(self, tmp_path, extra):
+        out = tmp_path / "results.csv"
+        emit_results([], out)
+        with open(out, "a", encoding="utf-8", newline="") as fh:
+            fh.write(extra + "\r\n")
+        n_cells = extra.count(",") + 1
+        with pytest.raises(SchemaError, match=f"results row 2 has {n_cells} cells"):
+            read_results(out)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config(tau_grid=(0.05,), repetitions=1)

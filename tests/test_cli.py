@@ -1,13 +1,13 @@
 """CLI surface tests: subcommand behavior and the exit-code contract."""
 
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _random_cases import FILE_MUTATIONS, mutate_file_text, v1_model_text
+from _random_cases import (FILE_MUTATIONS, csv_load_outcome, mutate_file_text,
+                           row_parser_load, v1_model_text)
 from fairnoise.bench import (anchor_synthetic_config,
                              disparity_synthetic_config, load_csv,
                              read_results, synth_generate, write_csv)
@@ -23,6 +23,17 @@ def csv_path(tmp_path):
     data = synth_generate(disparity_synthetic_config(n=800, seed=12))
     p = tmp_path / "data.csv"
     write_csv(data, p)
+    return p
+
+
+@pytest.fixture()
+def big_csv(tmp_path):
+    """Features near 1e160 overflow every fit's Hessian, so no fit leaves its
+    start. No floating-point warning may escape either: the suite turns
+    every warning into an error."""
+    data = synth_generate(disparity_synthetic_config(n=400, seed=1))
+    p = tmp_path / "big.csv"
+    write_csv(Dataset(1e160 * data.features, data.sensitive, data.target), p)
     return p
 
 
@@ -125,23 +136,17 @@ class TestTrain:
         assert "tau' = 0.140000" in out
         assert model_out.exists()
 
-    def test_overflowing_features_exit_3(self, tmp_path, capsys):
-        # Features near 1e160 overflow every best response's Hessian, so no
-        # fit leaves its start: training must fail, not save that all-zero
-        # start as a feasible model.
-        data = synth_generate(disparity_synthetic_config(n=400, seed=1))
-        src = tmp_path / "big.csv"
-        write_csv(Dataset(1e160 * data.features, data.sensitive, data.target),
-                  src)
+    def test_overflowing_features_exit_3(self, big_csv, tmp_path, capsys):
+        # training must fail, not save the all-zero start as a feasible
+        # model, whether the rates are given or estimated
         model_out = tmp_path / "m.txt"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = main(["train", "--input", str(src), "--tau", "0.1",
-                       "--model-out", str(model_out)])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "numerical failure" in err and "fit overflowed" in err
-        assert not model_out.exists()
+        for flags in ([], ["--estimate-noise"]):
+            rc = main(["train", "--input", str(big_csv), "--tau", "0.1",
+                       "--model-out", str(model_out)] + flags)
+            assert rc == 3, flags
+            err = capsys.readouterr().err
+            assert "numerical failure" in err and "fit overflowed" in err
+            assert not model_out.exists()
 
     def test_conflicting_noise_flags_exit_1(self, csv_path, tmp_path):
         rc = main(["train", "--input", str(csv_path), "--tau", "0.1",
@@ -207,6 +212,12 @@ class TestEstimate:
         rates = dict(line.split(" = ") for line in text.strip().splitlines())
         assert float(rates["rho_plus"]) <= 0.03
         assert float(rates["rho_minus"]) <= 0.03
+
+    @pytest.mark.parametrize("flags", [[], ["--eo"]])
+    def test_overflowing_features_exit_3(self, big_csv, capsys, flags):
+        # the estimate must fail, not print the rates of the unfitted start
+        assert main(["estimate", "--input", str(big_csv)] + flags) == 3
+        assert "posterior fit overflowed" in capsys.readouterr().err
 
 
 class TestMetrics:
@@ -280,7 +291,8 @@ class TestMalformedInputs:
 
 class TestExitCodeFuzz:
     """Seeded mutations of a valid CSV and a valid model file: every
-    ``metrics`` and ``estimate`` call ends in a documented exit code."""
+    ``metrics`` and ``estimate`` call ends in a documented exit code, and
+    ``load_csv`` loads every mutated CSV as the row-by-row parser does."""
 
     @pytest.mark.filterwarnings("ignore::fairnoise.errors.DegenerateEstimateWarning")
     def test_mutated_inputs_never_raise(self, tmp_path, capsys):
@@ -317,6 +329,11 @@ class TestExitCodeFuzz:
                          ["estimate", "--input", str(csv_bad)]):
                 rc = main(argv)
                 assert rc in (0, 1, 2, 3), (target, kind, argv[0], rc)
+            if target == "csv":
+                # the numpy fast path yields the row-by-row parser's dataset
+                # or error, so the exit code is the same too
+                assert csv_load_outcome(load_csv, csv_bad) == \
+                    csv_load_outcome(row_parser_load, csv_bad), kind
         capsys.readouterr()
 
     @pytest.mark.filterwarnings("ignore::fairnoise.errors.FairnoiseWarning")
