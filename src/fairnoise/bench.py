@@ -204,6 +204,15 @@ def _columns(header):
 def _parse_csv(fh, drop_missing):
     reader = csv.reader(fh)
     try:
+        return _parse_rows(reader, drop_missing)
+    except csv.Error as exc:
+        # e.g. a cell past the csv module's field size limit
+        raise ParseError(f"unreadable CSV: {exc}",
+                         row=reader.line_num) from None
+
+
+def _parse_rows(reader, drop_missing):
+    try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("CSV file has no header row") from None
@@ -551,7 +560,8 @@ def emit_results(rows, path):
 def read_results(path):
     """Parse a results CSV back into ResultRow objects: an empty cell reads
     as None, any other as its field's annotated type. A row without one
-    cell per column is a ``SchemaError`` naming its file row."""
+    cell per column, or a cell its field type cannot read, is a
+    ``SchemaError`` naming its file row."""
     types = [f.type for f in fields(ResultRow)]
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -563,6 +573,13 @@ def read_results(path):
                 raise SchemaError(
                     f"results row {rownum} has {len(rec)} cells, "
                     f"expected {len(RESULT_COLUMNS)}")
-            rows.append(ResultRow(*(t(cell) if cell else None
-                                    for t, cell in zip(types, rec))))
+            values = []
+            for name, t, cell in zip(RESULT_COLUMNS, types, rec):
+                try:
+                    values.append(t(cell) if cell else None)
+                except ValueError:
+                    raise SchemaError(
+                        f"results row {rownum}, column {name!r}: cannot read "
+                        f"{cell!r} as {t.__name__}") from None
+            rows.append(ResultRow(*values))
     return rows

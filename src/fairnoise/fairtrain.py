@@ -25,7 +25,7 @@ import numpy as np
 
 from ._logit import fit_logistic
 from .core import (Criterion, FairnessLoss, FairnessSpec, LinearScorer,
-                   fairness_loss_values, mean_fairness_loss)
+                   mean_fairness_loss)
 from .errors import (EmptySlice, InfeasibleWarning, NumericalError,
                      OutOfRangeWeight, PairingWarning, ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
@@ -122,18 +122,22 @@ def _criterion_masks(data, criterion):
     return m0, m1
 
 
-def _signed_violation(preds, y, loss, m0, m1):
-    vals = fairness_loss_values(loss, preds, y)
-    return float(vals[m0].mean() - vals[m1].mean())
+_CELL_Y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])  # y of cells 0..5
 
 
 class _Reduction:
-    """Best-response machinery shared by the presolve and the dual loop."""
+    """Best-response machinery shared by the presolve and the dual loop.
+
+    Every row falls in one of six cells, coded ``2 * class + y`` with class
+    0 outside both slices, 1 in slice 0 and 2 in slice 1. A best response
+    weights and targets rows by cell alone, so each fit builds a 6-entry
+    weight and target table and gathers it through the row code; ``stats``
+    counts the 0-1 fairness losses and errors directly.
+    """
 
     def __init__(self, data, loss, m0, m1, config):
         self.X = data.features
-        self.y = data.target
-        self.yf = data.target.astype(float)
+        self.positive = data.target == 1
         self.loss = loss
         self.m0, self.m1 = m0, m1
         self.n0, self.n1 = int(m0.sum()), int(m1.sum())
@@ -141,22 +145,28 @@ class _Reduction:
         self.config = config
         self.coef = np.zeros(data.dimension)
         self.intercept = 0.0
+        cls = np.zeros(self.n, dtype=np.intp)
+        cls[m0] = 1
+        cls[m1] = 2
+        self.code = 2 * cls + data.target
 
     def best_response(self, nu, iters):
         # Fairness cost +nu/n0 on slice-0 losses, -nu/n1 on slice-1 losses,
-        # folded with the 1/n accuracy term into weights and soft targets.
-        c = np.zeros(self.n)
-        c[self.m0] = nu / self.n0
-        c[self.m1] = -nu / self.n1
+        # folded with the 1/n accuracy term into weights and soft targets,
+        # one entry per (class, y) cell.
+        c0, c1 = nu / self.n0, -nu / self.n1
+        c = np.array([0.0, 0.0, c0, c0, c1, c1])
+        y = _CELL_Y
         push = np.abs(c)
         if self.loss == FairnessLoss.PREDICT_NONPOSITIVE:
             push_label = (c > 0).astype(float)
         else:
-            push_label = np.where(c > 0, self.yf, 1.0 - self.yf)
+            push_label = np.where(c > 0, y, 1.0 - y)
         u = 1.0 / self.n + push
-        t = (self.yf / self.n + push * push_label) / u
+        t = (y / self.n + push * push_label) / u
         self.coef, self.intercept, _, gnorm = fit_logistic(
-            self.X, t, u, reg=self.config.regularization, max_iter=iters,
+            self.X, t[self.code], u[self.code],
+            reg=self.config.regularization, max_iter=iters,
             coef0=self.coef, intercept0=self.intercept)
         if not math.isfinite(gnorm):
             # the features overflow the fit: the result is no best response
@@ -166,9 +176,12 @@ class _Reduction:
         return self.coef.copy(), self.intercept
 
     def stats(self):
-        preds = ((self.X @ self.coef + self.intercept) > 0).astype(np.int64)
-        v = _signed_violation(preds, self.y, self.loss, self.m0, self.m1)
-        return v, float((preds != self.y).mean())
+        pos = (self.X @ self.coef + self.intercept) > 0
+        wrong = pos != self.positive
+        bad = ~pos if self.loss == FairnessLoss.PREDICT_NONPOSITIVE else wrong
+        v = (np.count_nonzero(bad & self.m0) / self.n0
+             - np.count_nonzero(bad & self.m1) / self.n1)
+        return v, np.count_nonzero(wrong) / self.n
 
 
 def _presolve(red, tau_int, config):

@@ -12,8 +12,9 @@ import pytest
 from _random_cases import csv_load_outcome, random_dataset, row_parser_load
 from fairnoise import bench
 from fairnoise._logit import fit_logistic
-from fairnoise.bench import (METHODS, ExperimentConfig, ResultRow,
-                             SyntheticConfig, anchor_synthetic_config,
+from fairnoise.bench import (METHODS, RESULT_COLUMNS, ExperimentConfig,
+                             ResultRow, SyntheticConfig,
+                             anchor_synthetic_config,
                              default_experiment_config,
                              disparity_synthetic_config, emit_results,
                              load_csv, materialize, mix_populations,
@@ -90,6 +91,17 @@ class TestLoadCsv:
         p.write_text("x0,sensitive,label\n")
         with pytest.raises(EmptyDataset):
             load_csv(p)
+
+    @pytest.mark.parametrize("text, row", [
+        ("a" * 140_000 + "\n", 1),
+        ("x0,sensitive,label\n1.0,0,1\n" + "b" * 140_000 + ",0,1\n", 3),
+    ])
+    def test_cell_past_the_field_limit(self, tmp_path, text, row):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_csv(p)
+        assert err.value.row == row
 
     def test_write_then_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -460,6 +472,21 @@ class TestEmitResults:
             fh.write(extra + "\r\n")
         n_cells = extra.count(",") + 1
         with pytest.raises(SchemaError, match=f"results row 2 has {n_cells} cells"):
+            read_results(out)
+
+    @pytest.mark.parametrize("column, cell, kind", [
+        ("tau", "abc", "float"), ("seed", "1.5", "int")])
+    def test_unreadable_cell(self, tmp_path, column, cell, kind):
+        out = tmp_path / "results.csv"
+        emit_results([ResultRow("nocor", 0.1, None, None, None, "test",
+                                0.2, 0.3, 3, 0)], out)
+        lines = out.read_text().splitlines()
+        i = RESULT_COLUMNS.index(column)
+        cells = lines[1].split(",")
+        cells[i] = cell
+        out.write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
+        with pytest.raises(SchemaError, match=(
+                f"results row 2, column '{column}': cannot read '{cell}' as {kind}")):
             read_results(out)
 
     def test_byte_identical_reruns(self, tmp_path):

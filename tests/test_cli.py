@@ -282,6 +282,14 @@ class TestMalformedInputs:
         assert main(["estimate", "--input", str(p)]) == 2
         assert "row 3, column 'x1'" in capsys.readouterr().err
 
+    def test_cell_past_the_field_limit_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        p.write_text("a" * 140_000)
+        assert main(["estimate", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "field larger than field limit" in err and "(row 1)" in err
+        assert "Traceback" not in err
+
     def test_non_finite_cell_row_counts_dropped_rows(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x0,sensitive,label\n,0,1\n1.0,1,0\n,0,0\n2.0,0,1\nnan,1,1\n")

@@ -6,15 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairnoise import fairtrain
 from fairnoise._logit import fit_logistic
 from fairnoise.bench import (disparity_synthetic_config, materialize,
                              synth_generate)
+from fairnoise.cli import main
 from fairnoise.core import (ConstantScorer, Criterion, Dataset, FairnessLoss,
                             FairnessSpec, LinearScorer, accuracy_risk, ddp,
-                            deo, predictions)
+                            deo, fairness_loss_values, predictions)
 from fairnoise.errors import (EmptySlice, InfeasibleWarning, OutOfRangeWeight,
                               ValidationError)
 from fairnoise.fairtrain import (TrainConfig, _clean_conditionals_from_corrupted,
+                                 _criterion_masks, _Reduction,
                                  conservative_half_tolerance, load_model,
                                  mean_diff_from_reduction,
                                  reduction_constraint_value, save_model,
@@ -437,3 +440,84 @@ class TestClassifierAgnosticWrapper:
                                  trainer=spy_trainer)
         assert seen["tolerance"] == pytest.approx(0.14, abs=1e-12)
         assert model.trace.tau == pytest.approx(0.14, abs=1e-12)
+
+
+def _reference_targets_weights(data, loss, m0, m1, nu):
+    """Per-row soft targets and weights of one best response, built row by
+    row (the construction the 6-entry table replaced)."""
+    n, n0, n1 = len(data), int(m0.sum()), int(m1.sum())
+    yf = data.target.astype(float)
+    c = np.zeros(n)
+    c[m0] = nu / n0
+    c[m1] = -nu / n1
+    push = np.abs(c)
+    if loss == FairnessLoss.PREDICT_NONPOSITIVE:
+        push_label = (c > 0).astype(float)
+    else:
+        push_label = np.where(c > 0, yf, 1.0 - yf)
+    u = 1.0 / n + push
+    t = (yf / n + push * push_label) / u
+    return t, u
+
+
+def _reference_stats(data, loss, m0, m1, coef, intercept):
+    """Signed violation and risk as slice means of per-row 0-1 losses."""
+    preds = ((data.features @ coef + intercept) > 0).astype(np.int64)
+    vals = fairness_loss_values(loss, preds, data.target)
+    v = float(vals[m0].mean() - vals[m1].mean())
+    return v, float((preds != data.target).mean())
+
+
+class TestReductionBitIdentity:
+    """The cell-table best response and the counted statistics reproduce the
+    row-by-row construction bit for bit."""
+
+    NUS = (-3.7, -1e-3, -0.0, 0.0, 1e-3, 0.5, 42.0, np.float64(0.25))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("criterion", [DP, EO])
+    @pytest.mark.parametrize("loss", list(FairnessLoss))
+    def test_matches_row_by_row_reference(self, monkeypatch, seed, criterion,
+                                          loss):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 300))
+        a, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        a[:4], y[:4] = (0, 1, 0, 1), (1, 1, 0, 0)  # every (A, Y) cell present
+        data = Dataset(rng.normal(0.0, 1.5, (n, 3)), a, y)
+        m0, m1 = _criterion_masks(data, criterion)
+        if criterion == EO:
+            assert not (m0 | m1).all()  # rows outside both slices
+        red = _Reduction(data, loss, m0, m1, TrainConfig())
+        seen = []
+
+        def spy(X, t, u, **kwargs):
+            seen.append((t, u))
+            return fit_logistic(X, t, u, **kwargs)
+
+        monkeypatch.setattr(fairtrain, "fit_logistic", spy)
+        for nu in self.NUS:
+            red.best_response(nu, 30)
+            t, u = seen[-1]
+            t_ref, u_ref = _reference_targets_weights(data, loss, m0, m1, nu)
+            assert t.dtype == t_ref.dtype and t.tobytes() == t_ref.tobytes()
+            assert u.dtype == u_ref.dtype and u.tobytes() == u_ref.tobytes()
+            assert red.stats() == _reference_stats(data, loss, m0, m1,
+                                                   red.coef, red.intercept)
+        assert len(seen) == len(self.NUS)
+        for _ in range(5):
+            red.coef = rng.normal(0.0, 1.0, 3)
+            red.intercept = float(rng.normal(0.0, 0.5))
+            assert red.stats() == _reference_stats(data, loss, m0, m1,
+                                                   red.coef, red.intercept)
+
+    def test_default_sweep_bytes_do_not_depend_on_jobs(self, tmp_path):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}" / "results.csv"
+            out.parent.mkdir()
+            assert main(["sweep", "--set", "repetitions=1", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        for name in ("results.csv", "results_agg.csv"):
+            assert ((outs[0].parent / name).read_bytes()
+                    == (outs[1].parent / name).read_bytes())
