@@ -559,27 +559,33 @@ def emit_results(rows, path):
 
 def read_results(path):
     """Parse a results CSV back into ResultRow objects: an empty cell reads
-    as None, any other as its field's annotated type. A row without one
-    cell per column, or a cell its field type cannot read, is a
-    ``SchemaError`` naming its file row."""
+    as None, any other as its field's annotated type. An empty file or a
+    wrong header is a ``SchemaError``, as is a row the ``csv`` module cannot
+    read, one without one cell per column, or a cell its field type cannot
+    read; those name their file row."""
     types = [f.type for f in fields(ResultRow)]
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if tuple(next(reader)) != RESULT_COLUMNS:
-            raise SchemaError("unexpected results header")
-        for rownum, rec in enumerate(reader, start=2):
-            if len(rec) != len(RESULT_COLUMNS):
-                raise SchemaError(
-                    f"results row {rownum} has {len(rec)} cells, "
-                    f"expected {len(RESULT_COLUMNS)}")
-            values = []
-            for name, t, cell in zip(RESULT_COLUMNS, types, rec):
-                try:
-                    values.append(t(cell) if cell else None)
-                except ValueError:
+        try:
+            if tuple(next(reader, ())) != RESULT_COLUMNS:
+                raise SchemaError("unexpected results header")
+            for rownum, rec in enumerate(reader, start=2):
+                if len(rec) != len(RESULT_COLUMNS):
                     raise SchemaError(
-                        f"results row {rownum}, column {name!r}: cannot read "
-                        f"{cell!r} as {t.__name__}") from None
-            rows.append(ResultRow(*values))
+                        f"results row {rownum} has {len(rec)} cells, "
+                        f"expected {len(RESULT_COLUMNS)}")
+                values = []
+                for name, t, cell in zip(RESULT_COLUMNS, types, rec):
+                    try:
+                        values.append(t(cell) if cell else None)
+                    except ValueError:
+                        raise SchemaError(
+                            f"results row {rownum}, column {name!r}: cannot "
+                            f"read {cell!r} as {t.__name__}") from None
+                rows.append(ResultRow(*values))
+        except csv.Error as exc:
+            # e.g. a cell past the csv module's field size limit
+            raise SchemaError(f"results row {reader.line_num}: unreadable "
+                              f"CSV: {exc}") from None
     return rows

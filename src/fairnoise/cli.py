@@ -18,7 +18,7 @@ from .core import FairnessSpec, accuracy_risk, ddp, deo, disparity
 from .errors import (DataError, FairnoiseError, NumericalError, SchemaError,
                      ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
-from .fairtrain import TrainConfig, load_model, save_model, train_fair, train_fair_noisy
+from .fairtrain import load_model, save_model, train_fair, train_fair_noisy
 from .noise import (CCNNoise, ccn_to_mc, dp_epsilon_for_rho, dp_rho_for_epsilon,
                     inject_ccn)
 
@@ -74,8 +74,6 @@ def _build_parser():
     p.add_argument("--rho-minus", type=float)
     p.add_argument("--estimate-noise", action="store_true")
     p.add_argument("--model-out", required=True)
-    p.add_argument("--outer-iterations", type=int)
-    p.add_argument("--select-best", action="store_true")
     p.add_argument("--drop-missing", action="store_true")
 
     p = sub.add_parser("metrics", help="evaluate a model file on a CSV")
@@ -155,11 +153,6 @@ def _cmd_train(args):
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
     spec = FairnessSpec(sweepconfig.CRITERIA[args.criterion],
                         sweepconfig.LOSSES[args.loss], args.tau)
-    overrides = {"select_best": args.select_best}
-    if args.outer_iterations is not None:
-        overrides["outer_iterations"] = args.outer_iterations
-    config = TrainConfig(**overrides)
-
     if (args.rho_plus is None) != (args.rho_minus is None):
         raise _UsageExit("--rho-plus and --rho-minus go together")
     if args.estimate_noise and args.rho_plus is not None:
@@ -167,11 +160,11 @@ def _cmd_train(args):
 
     if args.rho_plus is not None:
         model = train_fair_noisy(data, spec, CCNNoise(args.rho_plus,
-                                                      args.rho_minus), config)
+                                                      args.rho_minus))
     elif args.estimate_noise:
-        model = train_fair_noisy(data, spec, None, config)
+        model = train_fair_noisy(data, spec)
     else:
-        model = train_fair(data, spec, config)
+        model = train_fair(data, spec)
 
     save_model(model, args.model_out)
     trace = model.trace

@@ -34,11 +34,12 @@ from .noise import (CCNNoise, EOConditionalNoise, MCNoise,
 
 MODEL_MAGIC = "fairnoise-model 2"
 MODEL_MAGIC_V1 = "fairnoise-model 1"
+_EG_STEP = 0.3  # exponentiated-gradient step, decayed as 1/sqrt(t)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the saddle-point reduction.
+    """Hyperparameters of the saddle-point reduction (its dual step is fixed).
 
     The base learner is fixed to regularized logistic regression, solved
     to a gradient norm of 1e-8 by damped Newton, so every best response is
@@ -48,12 +49,10 @@ class TrainConfig:
     a cold one under ten. Training is deterministic.
     """
 
-    dual_step: float = 0.3
     dual_bound: float = 100.0
     outer_iterations: int = 50
     base_iterations: int = 40
     regularization: float = 3e-3
-    select_best: bool = False
     feasibility_slack: float = 0.01
     boundary_margin: float = 0.01
     presolve_iterations: int = 25
@@ -65,8 +64,6 @@ class TrainConfig:
             raise ValidationError("iteration counts must be >= 1")
         if self.presolve_iterations < 0:
             raise ValidationError("presolve_iterations must be >= 0 (0: none)")
-        if not self.dual_step > 0:
-            raise ValidationError("dual_step must be > 0")
         if not self.dual_bound > 0:
             raise ValidationError("dual_bound must be > 0")
         if not self.regularization >= 0:
@@ -77,17 +74,13 @@ class TrainConfig:
 
 @dataclass
 class TrainingTrace:
-    """Per-iterate diagnostics of one training run."""
+    """One training run: the enforced tolerance, each dual-loop iterate's
+    signed training violation and whether any was feasible; the last three
+    fields are set by ``train_fair_noisy``."""
 
     tau: float
     tau_internal: float
     violations: np.ndarray
-    risks: np.ndarray
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
-    gaps: np.ndarray
-    best_gaps: np.ndarray
-    selected: object  # "average" or an iterate index
     feasible: bool
     tau_original: float = None
     tolerance_scale: float = None
@@ -131,8 +124,8 @@ class _Reduction:
     Every row falls in one of six cells, coded ``2 * class + y`` with class
     0 outside both slices, 1 in slice 0 and 2 in slice 1. A best response
     weights and targets rows by cell alone, so each fit builds a 6-entry
-    weight and target table and gathers it through the row code; ``stats``
-    counts the 0-1 fairness losses and errors directly.
+    weight and target table and gathers it through the row code;
+    ``violation`` counts the 0-1 fairness losses directly.
     """
 
     def __init__(self, data, loss, m0, m1, config):
@@ -175,26 +168,27 @@ class _Reduction:
                 "the features are too large to fit, rescale them")
         return self.coef.copy(), self.intercept
 
-    def stats(self):
+    def violation(self):
+        """Signed 0-1 violation of the current fit: slice-0 minus slice-1
+        mean fairness loss."""
         pos = (self.X @ self.coef + self.intercept) > 0
-        wrong = pos != self.positive
-        bad = ~pos if self.loss == FairnessLoss.PREDICT_NONPOSITIVE else wrong
-        v = (np.count_nonzero(bad & self.m0) / self.n0
-             - np.count_nonzero(bad & self.m1) / self.n1)
-        return v, np.count_nonzero(wrong) / self.n
+        bad = (~pos if self.loss == FairnessLoss.PREDICT_NONPOSITIVE
+               else pos != self.positive)
+        return (np.count_nonzero(bad & self.m0) / self.n0
+                - np.count_nonzero(bad & self.m1) / self.n1)
 
 
 def _presolve(red, tau_int, config):
     """Bisection on the net dual pressure to the constraint boundary."""
     red.best_response(0.0, 4 * config.presolve_base_iterations)
-    v0, _ = red.stats()
+    v0 = red.violation()
     if abs(v0) <= tau_int:
         return 0.0
     sgn = 1.0 if v0 > 0 else -1.0
     hi = 1.0
     while hi < config.dual_bound:
         red.best_response(sgn * hi, config.presolve_base_iterations)
-        v, _ = red.stats()
+        v = red.violation()
         if sgn * v <= tau_int:
             break
         hi *= 2.0
@@ -203,7 +197,7 @@ def _presolve(red, tau_int, config):
     for _ in range(config.presolve_iterations):
         mid = 0.5 * (lo + hi)
         red.best_response(sgn * mid, config.presolve_base_iterations)
-        v, _ = red.stats()
+        v = red.violation()
         if sgn * v <= tau_int:
             hi = mid
         else:
@@ -227,49 +221,23 @@ def _train(data, criterion, loss, tau, config):
     coefs = np.empty((T, data.dimension))
     intercepts = np.empty(T)
     viols = np.empty(T)
-    risks = np.empty(T)
-    lams_p = np.empty(T)
-    lams_m = np.empty(T)
     for t in range(T):
-        lams_p[t], lams_m[t] = lam_p, lam_m
         coefs[t], intercepts[t] = red.best_response(lam_p - lam_m,
                                                     config.base_iterations)
-        v, r = red.stats()
-        viols[t], risks[t] = v, r
-        eta = config.dual_step / np.sqrt(t + 1.0)
+        v = viols[t] = red.violation()
+        eta = _EG_STEP / np.sqrt(t + 1.0)
         lam_p = min(B, lam_p * np.exp(eta * (v - tau_int)))
         lam_m = min(B, lam_m * np.exp(eta * (-v - tau_int)))
 
-    # Saddle gap of the averaged play after k iterates, against the best
-    # response among those k.
-    k = np.arange(1.0, T + 1)
-    avg_lp, avg_lm = np.cumsum(lams_p) / k, np.cumsum(lams_m) / k
-    primal = np.cumsum(risks) / k + B * np.maximum(
-        0.0, np.abs(np.cumsum(viols) / k) - tau_int)
-    dual = np.array([np.min(risks[:j] + avg_lp[j - 1] * (viols[:j] - tau_int)
-                            + avg_lm[j - 1] * (-viols[:j] - tau_int))
-                     for j in range(1, T + 1)])
-    gaps = primal - dual
-    best_gaps = np.minimum.accumulate(gaps)
-
-    feasible_mask = np.abs(viols) <= tau + config.feasibility_slack
-    feasible = bool(feasible_mask.any())
+    feasible = bool((np.abs(viols) <= tau + config.feasibility_slack).any())
+    trace = TrainingTrace(tau=tau, tau_internal=tau_int, violations=viols,
+                          feasible=feasible)
     if not feasible:
-        selected = int(np.argmin(np.abs(viols)))
         warnings.warn(
             f"no iterate reached violation <= {tau + config.feasibility_slack:.4g}; "
             "returning the least-violating iterate", InfeasibleWarning, stacklevel=3)
-    elif config.select_best:
-        selected = int(np.argmin(np.where(feasible_mask, risks, np.inf)))
-    else:
-        selected = "average"
-
-    trace = TrainingTrace(tau=tau, tau_internal=tau_int, violations=viols,
-                          risks=risks, lambda_plus=lams_p, lambda_minus=lams_m,
-                          gaps=gaps, best_gaps=best_gaps, selected=selected,
-                          feasible=feasible)
-    if selected != "average":
-        return FairClassifier(coefs[selected], intercepts[selected], trace)
+        i = int(np.argmin(np.abs(viols)))
+        return FairClassifier(coefs[i], intercepts[i], trace)
     # The uniform average of linear iterates scores as one linear scorer.
     weights = np.full(T, 1.0 / T)
     return FairClassifier(weights @ coefs, float(weights @ intercepts), trace)
@@ -278,10 +246,9 @@ def _train(data, criterion, loss, tau, config):
 def train_fair(data, spec, config=TrainConfig()):
     """Train a fairness-constrained linear classifier.
 
-    Returns the uniform average over outer iterates, or the lowest-risk
-    feasible iterate when ``config.select_best``. When no iterate is
-    feasible an ``InfeasibleWarning`` is emitted and the least-violating
-    iterate is returned.
+    Returns the uniform average over the dual-loop iterates. When no
+    iterate is feasible an ``InfeasibleWarning`` is emitted and the
+    least-violating iterate is returned.
     """
     return _train(data, spec.criterion, spec.fairness_loss, spec.tolerance, config)
 

@@ -208,10 +208,13 @@ def scale_tolerance(tau, noise):
 
 def dp_rho_for_epsilon(eps):
     """Minimal symmetric flip rate giving (eps, 0) differential privacy:
-    rho = 1 / (exp(eps) + 1)."""
+    rho = 1 / (exp(eps) + 1), which is 0 once exp(eps) overflows."""
     if eps <= 0:
         raise NonPositiveEpsilon("epsilon must be > 0")
-    return 1.0 / (math.exp(eps) + 1.0)
+    try:
+        return 1.0 / (math.exp(eps) + 1.0)
+    except OverflowError:
+        return 0.0
 
 
 def dp_epsilon_for_rho(rho):

@@ -28,14 +28,6 @@ def _floats(text):
     return tuple(float(v) for v in _names(text))
 
 
-def _bool(text):
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
-
-
 def _pairs(text):
     pairs = [pair.split(":") for pair in _names(text)]
     if any(len(pair) != 2 for pair in pairs):
@@ -56,7 +48,6 @@ _CODECS = {
     float: (float, repr),
     int: (int, str),
     str: (str, lambda v: v),
-    bool: (_bool, lambda v: "true" if v else "false"),
     tuple[float, ...]: (_floats, lambda v: ",".join(repr(x) for x in v)),
     tuple[str, ...]: (_names, ",".join),
     tuple[tuple[float, float], ...]: (

@@ -474,6 +474,20 @@ class TestEmitResults:
         with pytest.raises(SchemaError, match=f"results row 2 has {n_cells} cells"):
             read_results(out)
 
+    def test_cell_past_the_csv_field_limit(self, tmp_path):
+        out = tmp_path / "results.csv"
+        emit_results([], out)
+        with open(out, "a", encoding="utf-8", newline="") as fh:
+            fh.write("a" * 140_000 + "\r\n")
+        with pytest.raises(SchemaError, match="results row 2: unreadable CSV"):
+            read_results(out)
+
+    def test_empty_file(self, tmp_path):
+        out = tmp_path / "results.csv"
+        out.write_bytes(b"")
+        with pytest.raises(SchemaError, match="unexpected results header"):
+            read_results(out)
+
     @pytest.mark.parametrize("column, cell, kind", [
         ("tau", "abc", "float"), ("seed", "1.5", "int")])
     def test_unreadable_cell(self, tmp_path, column, cell, kind):
@@ -536,9 +550,8 @@ NON_DEFAULT_SETTINGS = {
     "rho_plus": "0.1", "rho_minus": "0.05", "noise_mode": "estimate",
     "rho_hat_grid": "0.1:0.2", "tau_grid": "0.3", "methods": "nocor",
     "repetitions": "2", "train_fraction": "0.7", "base_seed": "9",
-    "dual_step": "0.5", "dual_bound": "10.0", "outer_iterations": "7",
-    "base_iterations": "9", "regularization": "0.01",
-    "select_best": "true", "feasibility_slack": "0.02",
+    "dual_bound": "10.0", "outer_iterations": "7",
+    "base_iterations": "9", "regularization": "0.01", "feasibility_slack": "0.02",
     "boundary_margin": "0.02", "presolve_iterations": "5",
     "presolve_base_iterations": "11", "est_n_bins": "7",
     "est_anchor_quantile": "0.01",

@@ -85,44 +85,9 @@ class TestTrainFair:
         b = train_fair(synth_data, spec, FAST)
         assert np.array_equal(a.coef, b.coef)
         assert a.intercept == b.intercept
-        assert a.trace.selected == b.trace.selected == "average"
-
-    def test_best_gap_trace_non_increasing(self, synth_data):
-        model = train_fair(synth_data, FairnessSpec(DP, tolerance=0.1), FAST)
-        gaps = model.trace.best_gaps
-        assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-        assert model.trace.tau == 0.1
-        assert model.trace.tau_internal == pytest.approx(
-            0.1 - FAST.boundary_margin)
-
-    @pytest.mark.parametrize("criterion, tau", [(DP, 0.0), (DP, 0.1), (EO, 0.05)])
-    def test_gap_trace_matches_the_per_iterate_formula(self, synth_data,
-                                                       criterion, tau):
-        # After k iterates: the averaged play's penalised risk, minus the
-        # best of those k iterates against the averaged duals.
-        tr = train_fair(synth_data, FairnessSpec(criterion, tolerance=tau),
-                        FAST).trace
-        B, t = FAST.dual_bound, tr.tau_internal
-        v, r = tr.violations, tr.risks
-        for k in range(1, FAST.outer_iterations + 1):
-            lp, lm = np.mean(tr.lambda_plus[:k]), np.mean(tr.lambda_minus[:k])
-            primal = np.mean(r[:k]) + B * max(0.0, abs(np.mean(v[:k])) - t)
-            dual = min(r[j] + lp * (v[j] - t) + lm * (-v[j] - t)
-                       for j in range(k))
-            assert tr.gaps[k - 1] == pytest.approx(primal - dual, rel=1e-12,
-                                                   abs=1e-12)
-            assert tr.best_gaps[k - 1] == min(tr.gaps[:k])
-
-    def test_select_best_returns_single_feasible_iterate(self, synth_data):
-        config = TrainConfig(outer_iterations=20, base_iterations=30,
-                             presolve_iterations=18,
-                             presolve_base_iterations=60, select_best=True)
-        spec = FairnessSpec(DP, tolerance=0.1)
-        model = train_fair(synth_data, spec, config)
-        selected = model.trace.selected
-        assert isinstance(selected, int)
-        assert accuracy_risk(synth_data, model) == model.trace.risks[selected]
-        assert ddp(synth_data, model) <= 0.1 + config.feasibility_slack
+        assert np.array_equal(a.trace.violations, b.trace.violations)
+        assert a.trace.tau == 0.1
+        assert a.trace.tau_internal == pytest.approx(0.1 - FAST.boundary_margin)
 
     def test_infeasible_warns_and_returns_least_violating(self, synth_data):
         # a dual bound this small cannot push the violation to zero
@@ -135,9 +100,7 @@ class TestTrainFair:
             model = train_fair(synth_data, FairnessSpec(DP, tolerance=0.0),
                                config)
         viols = model.trace.violations
-        assert model.trace.selected == int(np.argmin(np.abs(viols)))
-        assert (accuracy_risk(synth_data, model)
-                == model.trace.risks[model.trace.selected])
+        assert ddp(synth_data, model) == abs(viols[np.argmin(np.abs(viols))])
         assert not model.trace.feasible
 
 
@@ -460,16 +423,15 @@ def _reference_targets_weights(data, loss, m0, m1, nu):
     return t, u
 
 
-def _reference_stats(data, loss, m0, m1, coef, intercept):
-    """Signed violation and risk as slice means of per-row 0-1 losses."""
+def _reference_violation(data, loss, m0, m1, coef, intercept):
+    """Signed violation as slice means of per-row 0-1 losses."""
     preds = ((data.features @ coef + intercept) > 0).astype(np.int64)
     vals = fairness_loss_values(loss, preds, data.target)
-    v = float(vals[m0].mean() - vals[m1].mean())
-    return v, float((preds != data.target).mean())
+    return float(vals[m0].mean() - vals[m1].mean())
 
 
 class TestReductionBitIdentity:
-    """The cell-table best response and the counted statistics reproduce the
+    """The cell-table best response and the counted violation reproduce the
     row-by-row construction bit for bit."""
 
     NUS = (-3.7, -1e-3, -0.0, 0.0, 1e-3, 0.5, 42.0, np.float64(0.25))
@@ -501,14 +463,14 @@ class TestReductionBitIdentity:
             t_ref, u_ref = _reference_targets_weights(data, loss, m0, m1, nu)
             assert t.dtype == t_ref.dtype and t.tobytes() == t_ref.tobytes()
             assert u.dtype == u_ref.dtype and u.tobytes() == u_ref.tobytes()
-            assert red.stats() == _reference_stats(data, loss, m0, m1,
-                                                   red.coef, red.intercept)
+            assert red.violation() == _reference_violation(
+                data, loss, m0, m1, red.coef, red.intercept)
         assert len(seen) == len(self.NUS)
         for _ in range(5):
             red.coef = rng.normal(0.0, 1.0, 3)
             red.intercept = float(rng.normal(0.0, 0.5))
-            assert red.stats() == _reference_stats(data, loss, m0, m1,
-                                                   red.coef, red.intercept)
+            assert red.violation() == _reference_violation(
+                data, loss, m0, m1, red.coef, red.intercept)
 
     def test_default_sweep_bytes_do_not_depend_on_jobs(self, tmp_path):
         outs = []

@@ -336,6 +336,9 @@ class TestDpCalibration:
 
     def test_limits(self):
         assert dp_rho_for_epsilon(50.0) < 1e-20
+        assert dp_rho_for_epsilon(1.73) == 1.0 / (math.exp(1.73) + 1.0)
+        assert 0.0 < dp_rho_for_epsilon(709.0) < 1e-300
+        assert dp_rho_for_epsilon(1000.0) == dp_rho_for_epsilon(math.inf) == 0.0
         assert dp_rho_for_epsilon(1.0) == pytest.approx(1.0 / (math.e + 1.0),
                                                         abs=1e-15)
         assert dp_epsilon_for_rho(0.499999) < 1e-5
