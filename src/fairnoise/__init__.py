@@ -12,8 +12,8 @@ from .core import (ConstantScorer, Criterion, Dataset, DiscretePopulation,
                    condition_population, ddp, deo, disparity,
                    mean_fairness_loss, predictions)
 from .denoise import DenoiseReport, denoise_ccn
-from .estimation import (EstimatorConfig, PosteriorModel, estimate_ccn_rates,
-                         estimate_eo_rates, fit_posterior)
+from .estimation import (PosteriorModel, estimate_ccn_rates, estimate_eo_rates,
+                         fit_posterior)
 from .fairtrain import (FairClassifier, TrainConfig, TrainingTrace,
                         conservative_half_tolerance, load_model,
                         mean_diff_from_reduction, reduction_constraint_value,

@@ -23,7 +23,7 @@ from .core import (Criterion, Dataset, DiscretePopulation, FairnessLoss,
 from .denoise import denoise_ccn
 from .errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
                      ParseError, SchemaError, ValidationError)
-from .estimation import EstimatorConfig, estimate_ccn_rates
+from .estimation import estimate_ccn_rates
 from .fairtrain import TrainConfig, train_fair, train_fair_noisy
 from .noise import CCNNoise, inject_ccn, merge_cells
 
@@ -80,9 +80,8 @@ def synth_generate(config):
     means = np.array(config.means, dtype=float)[cells]
     X = means + rng.normal(0.0, math.sqrt(config.variance),
                            size=(config.n, means.shape[1]))
-    a = [_CELL_ORDER[c][0] for c in cells]
-    y = [_CELL_ORDER[c][1] for c in cells]
-    return Dataset(X, a, y)
+    # a cell's index is 2 * a + y (``_CELL_ORDER``)
+    return Dataset(X, cells >> 1, cells & 1)
 
 
 def disparity_synthetic_config(n=4000, seed=23, base_rate=0.25, p_y1_a1=0.65,
@@ -343,7 +342,6 @@ class ExperimentConfig:
     train_fraction: float = 0.8
     base_seed: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
         if (self.synthetic is None) == (self.csv_path is None):
@@ -421,7 +419,7 @@ def _rate_pairs(config, corrupted_train):
     if config.noise_mode == "known":
         return [(config.rho_plus, config.rho_minus)]
     if config.noise_mode == "estimate":
-        est = estimate_ccn_rates(corrupted_train, config.estimator)
+        est = estimate_ccn_rates(corrupted_train)
         return [(est.rho_plus, est.rho_minus)]
     return list(config.rho_hat_grid)
 

@@ -8,6 +8,7 @@ go to files.
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -124,11 +125,16 @@ def _cmd_estimate(args):
         print(f"estimated CCN rates: rho+={est.rho_plus:.4f} "
               f"rho-={est.rho_minus:.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for key, val in pairs:
-                fh.write(f"{key} = {repr(val)}\n")
-        print(f"wrote {args.out}")
+        _write_pairs(args.out, pairs)
     return 0
+
+
+def _write_pairs(path, pairs):
+    """Write the machine-readable ``key = repr(value)`` lines of ``--out``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, val in pairs:
+            fh.write(f"{key} = {val!r}\n")
+    print(f"wrote {path}")
 
 
 def _cmd_dp_calibrate(args):
@@ -193,10 +199,7 @@ def _cmd_metrics(args):
     for key, val in vals:
         print(f"{key} = {val:.6f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for key, val in vals:
-                fh.write(f"{key} = {repr(val)}\n")
-        print(f"wrote {args.out}")
+        _write_pairs(args.out, vals)
     return 0
 
 
@@ -220,6 +223,9 @@ def _cmd_sweep(args):
     jobs = args.jobs if args.jobs is not None else _jobs_from_env()
     if jobs < 1:
         raise _UsageExit("--jobs (or FAIRNOISE_JOBS) must be >= 1")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        # fail before the sweep runs, not when its results are written
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     rows = bench.run_sweep(config, jobs=jobs)
     agg_path = bench.emit_results(rows, args.out)
     done = sum(1 for r in rows if r.fairness_violation is not None)

@@ -30,27 +30,10 @@ _GRAD_TOL = 1e-6
 # Calibration bins need enough mass that their empirical rates
 # concentrate; with fewer examples per bin the extremes are noise.
 _MIN_BIN_COUNT = 1000
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Calibration and anchor-quantile settings of the rate estimator.
-
-    ``n_bins`` caps the equal-count calibration bins of the posterior
-    (each also needs 1,000 examples, with two bins at least). The anchor
-    quantiles (``anchor_quantile``, ``1 - anchor_quantile``) of the
-    calibrated posterior stand in for its strict min/max, for outlier
-    robustness.
-    """
-
-    n_bins: int = 20
-    anchor_quantile: float = 0.005
-
-    def __post_init__(self):
-        if self.n_bins < 1:
-            raise ValidationError("n_bins must be >= 1")
-        if not 0.0 < self.anchor_quantile < 0.5:
-            raise ValidationError("anchor_quantile must lie in (0, 0.5)")
+_N_BINS = 20  # cap on the equal-count calibration bins
+# The anchor quantiles (q, 1 - q) of the calibrated posterior stand in for
+# its strict min/max, for outlier robustness.
+_ANCHOR_QUANTILE = 0.005
 
 
 @dataclass(frozen=True)
@@ -84,12 +67,14 @@ def ccn_design(data):
     return np.column_stack([data.features, data.target.astype(float)])
 
 
-def fit_posterior(X, sensitive, config=EstimatorConfig()):
+def fit_posterior(X, sensitive):
     """Fit the calibrated posterior of the (possibly corrupted) sensitive
     bit on the design ``X``, one row per entry of ``sensitive``:
     ``ccn_design(data)`` for the CCN rates, the Y=1 slice's features for
     the EO rates. ``X`` must be finite and ``sensitive`` binary (else a
-    ``ValidationError``). Deterministic given the config and the row order.
+    ``ValidationError``). Deterministic given the row order. The scores
+    are calibrated by up to 20 equal-count bins, each of 1,000 examples or
+    more, two bins at least.
 
     A fit that stops with the gradient norm above 1e-6 (where no step
     lowers the loss, or at ``fit_logistic``'s iteration cap) emits a
@@ -122,7 +107,7 @@ def fit_posterior(X, sensitive, config=EstimatorConfig()):
     scores = X @ coef + b
     order = np.argsort(scores, kind="stable")
     # two bins minimum, so small samples stay directional
-    n_bins = min(n, min(config.n_bins, max(2, n // _MIN_BIN_COUNT)))
+    n_bins = min(n, min(_N_BINS, max(2, n // _MIN_BIN_COUNT)))
     uppers, sums, counts = [], [], []
     for chunk in np.array_split(order, n_bins):
         top = float(scores[chunk].max())
@@ -139,9 +124,9 @@ def fit_posterior(X, sensitive, config=EstimatorConfig()):
                           converged)
 
 
-def _quantile_rates(eta, q):
-    lo = float(np.quantile(eta, q))
-    hi = float(np.quantile(eta, 1.0 - q))
+def _quantile_rates(eta):
+    lo = float(np.quantile(eta, _ANCHOR_QUANTILE))
+    hi = float(np.quantile(eta, 1.0 - _ANCHOR_QUANTILE))
     rho_minus = max(lo, 0.0)
     rho_plus = max(1.0 - hi, 0.0)
     if rho_plus + rho_minus >= _MAX_RATE_SUM:
@@ -155,19 +140,19 @@ def _quantile_rates(eta, q):
     return rho_plus, rho_minus
 
 
-def estimate_ccn_rates(data, config=EstimatorConfig()):
+def estimate_ccn_rates(data):
     """Anchor-point estimate of the CCN flip rates from corrupted data."""
     if len(data) == 0:
         raise EmptySlice("cannot estimate on empty data")
     if not ((data.sensitive == 0).any() and (data.sensitive == 1).any()):
         raise EmptySlice("both apparent groups must be present")
     X = ccn_design(data)
-    eta = fit_posterior(X, data.sensitive, config).predict_proba(X)
-    rho_plus, rho_minus = _quantile_rates(eta, config.anchor_quantile)
+    eta = fit_posterior(X, data.sensitive).predict_proba(X)
+    rho_plus, rho_minus = _quantile_rates(eta)
     return CCNNoise(rho_plus, rho_minus)
 
 
-def estimate_eo_rates(data, config=EstimatorConfig()):
+def estimate_eo_rates(data):
     """Anchor-point estimate of the EO-conditional mixture weights.
 
     Runs the CCN estimator restricted to the Y=1 slice, then converts the
@@ -181,9 +166,9 @@ def estimate_eo_rates(data, config=EstimatorConfig()):
     sliced = data.subset(mask)
     if not ((sliced.sensitive == 0).any() and (sliced.sensitive == 1).any()):
         raise EmptySlice("Y=1 slice must contain both apparent groups")
-    eta = fit_posterior(sliced.features, sliced.sensitive,
-                        config).predict_proba(sliced.features)
-    rho_plus, rho_minus = _quantile_rates(eta, config.anchor_quantile)
+    eta = fit_posterior(sliced.features,
+                        sliced.sensitive).predict_proba(sliced.features)
+    rho_plus, rho_minus = _quantile_rates(eta)
     mc, _ = ccn_to_mc_from_corrupted(CCNNoise(rho_plus, rho_minus),
                                      sliced.base_rate())
     return EOConditionalNoise(mc.alpha, mc.beta)

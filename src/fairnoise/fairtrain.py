@@ -33,13 +33,18 @@ from .noise import (CCNNoise, EOConditionalNoise, MCNoise,
                     ccn_to_mc_from_corrupted, mc_to_eo, scale_tolerance)
 
 MODEL_MAGIC = "fairnoise-model 2"
-MODEL_MAGIC_V1 = "fairnoise-model 1"
 _EG_STEP = 0.3  # exponentiated-gradient step, decayed as 1/sqrt(t)
+_DUAL_BOUND = 100.0  # B, the cap on each dual
+_REGULARIZATION = 3e-3  # ridge of every best-response fit
+# A run is feasible when some iterate's violation is within tau plus this.
+_FEASIBILITY_SLACK = 0.01
+_BOUNDARY_MARGIN = 0.01  # the internal tolerance is tau minus this
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the saddle-point reduction (its dual step is fixed).
+    """Iteration counts of the saddle-point reduction; its dual step and
+    bound, ridge and margins are module constants.
 
     The base learner is fixed to regularized logistic regression, solved
     to a gradient norm of 1e-8 by damped Newton, so every best response is
@@ -49,12 +54,8 @@ class TrainConfig:
     a cold one under ten. Training is deterministic.
     """
 
-    dual_bound: float = 100.0
     outer_iterations: int = 50
     base_iterations: int = 40
-    regularization: float = 3e-3
-    feasibility_slack: float = 0.01
-    boundary_margin: float = 0.01
     presolve_iterations: int = 25
     presolve_base_iterations: int = 120
 
@@ -64,12 +65,6 @@ class TrainConfig:
             raise ValidationError("iteration counts must be >= 1")
         if self.presolve_iterations < 0:
             raise ValidationError("presolve_iterations must be >= 0 (0: none)")
-        if not self.dual_bound > 0:
-            raise ValidationError("dual_bound must be > 0")
-        if not self.regularization >= 0:
-            raise ValidationError("regularization must be >= 0")
-        if not (self.boundary_margin >= 0 and self.feasibility_slack >= 0):
-            raise ValidationError("margins must be >= 0")
 
 
 @dataclass
@@ -128,14 +123,13 @@ class _Reduction:
     ``violation`` counts the 0-1 fairness losses directly.
     """
 
-    def __init__(self, data, loss, m0, m1, config):
+    def __init__(self, data, loss, m0, m1):
         self.X = data.features
         self.positive = data.target == 1
         self.loss = loss
         self.m0, self.m1 = m0, m1
         self.n0, self.n1 = int(m0.sum()), int(m1.sum())
         self.n = len(data)
-        self.config = config
         self.coef = np.zeros(data.dimension)
         self.intercept = 0.0
         cls = np.zeros(self.n, dtype=np.intp)
@@ -159,7 +153,7 @@ class _Reduction:
         t = (y / self.n + push * push_label) / u
         self.coef, self.intercept, _, gnorm = fit_logistic(
             self.X, t[self.code], u[self.code],
-            reg=self.config.regularization, max_iter=iters,
+            reg=_REGULARIZATION, max_iter=iters,
             coef0=self.coef, intercept0=self.intercept)
         if not math.isfinite(gnorm):
             # the features overflow the fit: the result is no best response
@@ -186,13 +180,13 @@ def _presolve(red, tau_int, config):
         return 0.0
     sgn = 1.0 if v0 > 0 else -1.0
     hi = 1.0
-    while hi < config.dual_bound:
+    while hi < _DUAL_BOUND:
         red.best_response(sgn * hi, config.presolve_base_iterations)
         v = red.violation()
         if sgn * v <= tau_int:
             break
         hi *= 2.0
-    hi = min(hi, config.dual_bound)
+    hi = min(hi, _DUAL_BOUND)
     lo = 0.0
     for _ in range(config.presolve_iterations):
         mid = 0.5 * (lo + hi)
@@ -209,13 +203,12 @@ def _train(data, criterion, loss, tau, config):
     if len(data) == 0:
         raise EmptySlice("cannot train on empty data")
     m0, m1 = _criterion_masks(data, criterion)
-    tau_int = max(0.0, tau - config.boundary_margin)
-    red = _Reduction(data, loss, m0, m1, config)
+    tau_int = max(0.0, tau - _BOUNDARY_MARGIN)
+    red = _Reduction(data, loss, m0, m1)
 
     nu0 = _presolve(red, tau_int, config)
-    B = config.dual_bound
-    lam_p = min(B, max(nu0, 1e-12))
-    lam_m = min(B, max(-nu0, 1e-12))
+    lam_p = min(_DUAL_BOUND, max(nu0, 1e-12))
+    lam_m = min(_DUAL_BOUND, max(-nu0, 1e-12))
 
     T = config.outer_iterations
     coefs = np.empty((T, data.dimension))
@@ -226,15 +219,15 @@ def _train(data, criterion, loss, tau, config):
                                                     config.base_iterations)
         v = viols[t] = red.violation()
         eta = _EG_STEP / np.sqrt(t + 1.0)
-        lam_p = min(B, lam_p * np.exp(eta * (v - tau_int)))
-        lam_m = min(B, lam_m * np.exp(eta * (-v - tau_int)))
+        lam_p = min(_DUAL_BOUND, lam_p * np.exp(eta * (v - tau_int)))
+        lam_m = min(_DUAL_BOUND, lam_m * np.exp(eta * (-v - tau_int)))
 
-    feasible = bool((np.abs(viols) <= tau + config.feasibility_slack).any())
+    feasible = bool((np.abs(viols) <= tau + _FEASIBILITY_SLACK).any())
     trace = TrainingTrace(tau=tau, tau_internal=tau_int, violations=viols,
                           feasible=feasible)
     if not feasible:
         warnings.warn(
-            f"no iterate reached violation <= {tau + config.feasibility_slack:.4g}; "
+            f"no iterate reached violation <= {tau + _FEASIBILITY_SLACK:.4g}; "
             "returning the least-violating iterate", InfeasibleWarning, stacklevel=3)
         i = int(np.argmin(np.abs(viols)))
         return FairClassifier(coefs[i], intercepts[i], trace)
@@ -374,46 +367,25 @@ def save_model(classifier, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _header_count(lines, index, name):
-    parts = lines[index].split() if index < len(lines) else []
-    if len(parts) != 2 or parts[0] != name or not parts[1].isdecimal():
-        raise ValidationError(f"model file needs a '{name} <count>' line")
-    return int(parts[1])
-
-
-def _parse_rows(lines, width):
-    try:
-        rows = [[float(p) for p in ln.split()] for ln in lines]
-    except ValueError:
-        raise ValidationError("model values must be numbers") from None
-    if any(len(row) != width for row in rows):
-        raise ValidationError("model line has a wrong coefficient count")
-    if not np.isfinite(rows).all():
-        raise ValidationError("model file holds a non-finite value")
-    return rows
-
-
 def load_model(path):
-    """Read a model file written by ``save_model``; a malformed file is a
-    ``ValidationError``. A version 1 file (a weighted ensemble of linear
-    members) loads as the weighted average of its members."""
+    """Read a model file written by ``save_model``; a malformed file, or one
+    of the retired version 1 (weighted-ensemble) format, is a
+    ``ValidationError``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] not in (MODEL_MAGIC, MODEL_MAGIC_V1):
+    if not lines or lines[0] != MODEL_MAGIC:
         raise ValidationError(f"not a fairnoise model file: {path}")
-    dim = _header_count(lines, 1, "dimension")
-    if lines[0] == MODEL_MAGIC:
-        if len(lines) != 3:
-            raise ValidationError("model file needs exactly one scorer line")
-        row = _parse_rows(lines[2:], 1 + dim)[0]
-        return FairClassifier(row[1:], row[0])
-    m = _header_count(lines, 2, "members")
-    if m == 0 or len(lines) != 3 + m:
-        raise ValidationError("model file has a wrong member count")
-    members = _parse_rows(lines[3:], 2 + dim)
-    w = np.array([row[0] for row in members])
-    b = np.array([row[1] for row in members])
-    c = np.array([row[2:] for row in members])
-    if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError("member weights must be nonnegative and sum to 1")
-    return FairClassifier(w @ c, float(w @ b))
+    parts = lines[1].split() if len(lines) > 1 else []
+    if len(parts) != 2 or parts[0] != "dimension" or not parts[1].isdecimal():
+        raise ValidationError("model file needs a 'dimension <count>' line")
+    if len(lines) != 3:
+        raise ValidationError("model file needs exactly one scorer line")
+    try:
+        row = [float(p) for p in lines[2].split()]
+    except ValueError:
+        raise ValidationError("model values must be numbers") from None
+    if len(row) != 1 + int(parts[1]):
+        raise ValidationError("model line has a wrong coefficient count")
+    if not np.isfinite(row).all():
+        raise ValidationError("model file holds a non-finite value")
+    return FairClassifier(row[1:], row[0])

@@ -3,8 +3,8 @@
 One ``key = value`` pair per line, ``#`` lines are comments. CLI flags
 override file values, file values override the shipped defaults. Unknown
 keys are errors. The keys, listed once in ``_SCHEMA``, are the fields of
-the config dataclasses (``synth_`` and ``est_`` prefixes mark the
-synthetic-data and estimator fields); ``data`` picks the data source.
+the config dataclasses (a ``synth_`` prefix marks the synthetic-data
+fields); ``data`` picks the data source.
 """
 
 import dataclasses
@@ -12,7 +12,6 @@ import dataclasses
 from .bench import (ExperimentConfig, SyntheticConfig, default_experiment_config)
 from .core import Criterion, FairnessLoss
 from .errors import ValidationError
-from .estimation import EstimatorConfig
 from .fairtrain import TrainConfig
 
 CRITERIA = {c.value: c for c in Criterion}
@@ -57,7 +56,7 @@ _CODECS = {
 }
 
 _SECTIONS = {None: ExperimentConfig, "synthetic": SyntheticConfig,
-             "train": TrainConfig, "estimator": EstimatorConfig}
+             "train": TrainConfig}
 
 
 def _rows(section, prefix, names=None):
@@ -76,7 +75,7 @@ _SCHEMA = (
     + _rows("synthetic", "synth_", "proportions variance n seed")
     + _rows(None, "", "criterion loss rho_plus rho_minus noise_mode rho_hat_grid "
             "tau_grid methods repetitions train_fraction base_seed")
-    + _rows("train", "") + _rows("estimator", "est_"))
+    + _rows("train", ""))
 
 KNOWN_KEYS = frozenset([DATA_KEY] + [row[0] for row in _SCHEMA])
 
@@ -126,8 +125,7 @@ def build_experiment_config(mapping):
         synthetic = dataclasses.replace(base.synthetic, means=means, **syn)
     return dataclasses.replace(
         base, synthetic=synthetic, **values[None],
-        train=dataclasses.replace(base.train, **values["train"]),
-        estimator=dataclasses.replace(base.estimator, **values["estimator"]))
+        train=dataclasses.replace(base.train, **values["train"]))
 
 
 def config_to_mapping(config):

@@ -19,8 +19,8 @@ from fairnoise.core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
                             LinearScorer, accuracy_risk, condition_population,
                             ddp, deo)
 from fairnoise.estimation import estimate_ccn_rates
-from fairnoise.fairtrain import (TrainConfig, reduction_constraint_value,
-                                 train_fair)
+from fairnoise.fairtrain import (_REGULARIZATION, TrainConfig,
+                                 reduction_constraint_value, train_fair)
 from fairnoise.noise import (CCNNoise, MCNoise, ccn_to_mc, corrupt_population,
                              dp_epsilon_for_rho, dp_rho_for_epsilon,
                              inject_ccn, mc_to_eo)
@@ -155,7 +155,7 @@ def test_criterion_6_trainer_sanity():
     fit_one = time.time() - start
     n = len(data)
     coef, b, _, _ = fit_logistic(data.features, data.target.astype(float),
-                                 np.full(n, 1.0 / n), reg=config.regularization,
+                                 np.full(n, 1.0 / n), reg=_REGULARIZATION,
                                  max_iter=3000)
     acc_gap = abs(accuracy_risk(data, vacuous)
                   - accuracy_risk(data, LinearScorer(coef, b)))

@@ -550,11 +550,8 @@ NON_DEFAULT_SETTINGS = {
     "rho_plus": "0.1", "rho_minus": "0.05", "noise_mode": "estimate",
     "rho_hat_grid": "0.1:0.2", "tau_grid": "0.3", "methods": "nocor",
     "repetitions": "2", "train_fraction": "0.7", "base_seed": "9",
-    "dual_bound": "10.0", "outer_iterations": "7",
-    "base_iterations": "9", "regularization": "0.01", "feasibility_slack": "0.02",
-    "boundary_margin": "0.02", "presolve_iterations": "5",
-    "presolve_base_iterations": "11", "est_n_bins": "7",
-    "est_anchor_quantile": "0.01",
+    "outer_iterations": "7", "base_iterations": "9", "presolve_iterations": "5",
+    "presolve_base_iterations": "11",
 }
 
 
@@ -659,7 +656,7 @@ def _ref_rate_pairs(config, corrupted_train):
     if config.noise_mode == "known":
         return [(config.rho_plus, config.rho_minus)]
     if config.noise_mode == "estimate":
-        est = estimate_ccn_rates(corrupted_train, config.estimator)
+        est = estimate_ccn_rates(corrupted_train)
         return [(est.rho_plus, est.rho_minus)]
     return list(config.rho_hat_grid)
 

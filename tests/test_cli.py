@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from _random_cases import (FILE_MUTATIONS, csv_load_outcome, mutate_file_text,
-                           row_parser_load, v1_model_text)
+                           row_parser_load)
+from fairnoise import bench
 from fairnoise.bench import (anchor_synthetic_config,
                              disparity_synthetic_config, load_csv,
                              read_results, synth_generate, write_csv)
@@ -229,35 +230,26 @@ class TestMetrics:
         assert out.exists()
 
     def test_version_1_model_file(self, csv_path, capsys):
-        # The committed file was written by the version 1 (ensemble) writer
-        # from a training on this CSV; the values are what that version
-        # printed for it.
+        # The committed file was written by the retired version 1 (ensemble)
+        # writer from a training on this CSV; it no longer loads.
         model = Path(__file__).parent / "data" / "model_v1.txt"
         assert main(["metrics", "--input", str(csv_path),
-                     "--model", str(model)]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "ddp = 0.038442", "deo = 0.386733", "error = 0.183750"]
+                     "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert "not a fairnoise model file" in err and "Traceback" not in err
 
 
 def _save_random_model(rng, path, dimension):
     save_model(FairClassifier(rng.normal(size=dimension), rng.normal()), path)
 
 
-def _write_random_v1_model(rng, path, dimension, members=3):
-    weights = rng.random(members) + 0.1
-    path.write_text(v1_model_text(weights / weights.sum(),
-                                  rng.normal(size=(members, dimension)),
-                                  rng.normal(size=members)))
-
-
 class TestMalformedInputs:
     def test_non_numeric_model_header_exits_1(self, csv_path, tmp_path):
         p = tmp_path / "m.txt"
-        for text in ("fairnoise-model 1\ndimension x\nmembers 1\n0 0 0 0 0 0\n",
-                     "fairnoise-model 1\ndimension 4\nmembers y\n",
-                     "fairnoise-model 1\n",
-                     "fairnoise-model 1\ndimension 4\nmembers 2\n"
-                     "0.5 0 0 0 0 0\n0.6 0 0 0 0 0\n"):
+        for text in ("fairnoise-model 2\ndimension x\n0 0 0 0 0\n",
+                     "fairnoise-model 2\ndimension -4\n0 0 0 0 0\n",
+                     "fairnoise-model 2\ndimensions 4\n0 0 0 0 0\n",
+                     "fairnoise-model 2\n"):
             p.write_text(text)
             assert main(["metrics", "--input", str(csv_path),
                          "--model", str(p)]) == 1
@@ -302,26 +294,20 @@ class TestExitCodeFuzz:
         csv_ok, model_ok = tmp_path / "ok.csv", tmp_path / "ok.txt"
         write_csv(data, csv_ok)
         _save_random_model(rng, model_ok, data.dimension)
-        csv_text, model_texts = csv_ok.read_text(), {"model": model_ok.read_text()}
-        _write_random_v1_model(rng, model_ok, data.dimension)
-        model_texts["model_v1"] = model_ok.read_text()
+        csv_text, model_text = csv_ok.read_text(), model_ok.read_text()
         csv_bad, model_bad = tmp_path / "bad.csv", tmp_path / "bad.txt"
-        cases = [(target, kind) for target in ("csv", "model", "model_v1")
+        cases = [(target, kind) for target in ("csv", "model")
                  for kind in FILE_MUTATIONS + ("dimension",) for _ in range(6)]
         for target, kind in cases:
-            model_text = model_texts.get(target, model_texts["model"])
             csv_bad.write_bytes(csv_text.encode())
             model_bad.write_bytes(model_text.encode())
             if kind == "dimension" and target == "csv":
                 kept = int(rng.integers(0, data.dimension))
                 write_csv(Dataset(data.features[:, :kept], data.sensitive,
                                   data.target), csv_bad)
-            elif kind == "dimension" and target == "model":
+            elif kind == "dimension":
                 _save_random_model(rng, model_bad,
                                    data.dimension + int(rng.choice([-1, 1])))
-            elif kind == "dimension":
-                _write_random_v1_model(rng, model_bad,
-                                       data.dimension + int(rng.choice([-1, 1])))
             elif target == "csv":
                 csv_bad.write_bytes(mutate_file_text(rng, csv_text, ",", kind))
             else:
@@ -430,18 +416,17 @@ class TestSweep:
         assert "test violation" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_singular_design_at_zero_regularization(self, tmp_path):
+    def test_collinear_design_sweeps_without_warning(self, tmp_path):
         # A constant column copies the intercept and the last column copies
-        # the first, so every best-response Hessian is singular at reg = 0.
+        # the first; the fixed ridge keeps every best response solvable.
         data = synth_generate(disparity_synthetic_config(n=600, seed=3))
         X = data.features
         path = tmp_path / "singular.csv"
         write_csv(Dataset(np.column_stack([X, np.ones(len(X)), X[:, 0]]),
                           data.sensitive, data.target), path)
         out = tmp_path / "results.csv"
-        settings = {"data": "csv", "csv_path": str(path), "regularization": "0",
-                    "repetitions": "1", "tau_grid": "0.05,0.2",
-                    "outer_iterations": "10"}
+        settings = {"data": "csv", "csv_path": str(path), "repetitions": "1",
+                    "tau_grid": "0.05,0.2", "outer_iterations": "10"}
         rc = main(["sweep", "--out", str(out), "--jobs", "1",
                    *[a for k, v in settings.items() for a in ("--set", f"{k}={v}")]])
         assert rc == 0
@@ -484,11 +469,25 @@ class TestSweep:
         assert [line.split()[:2] for line in lines] == [
             ["cor_scale", "tau=0.05"], ["nocor", "tau=0.05"]]
 
+    def test_missing_out_directory_exits_2_before_running(self, tmp_path,
+                                                          monkeypatch, capsys):
+        def run_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(bench, "run_sweep", run_sweep)
+        out = tmp_path / "missing" / "results.csv"
+        assert main(["sweep", "--set", "repetitions=1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "io error" in err and "No such file or directory" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_set_key_exits_1(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "r.csv"),
                      "--set", "bogus=1"]) == 1
 
-    @pytest.mark.parametrize("key", ["est_max_iter", "select_best", "dual_step"])
+    @pytest.mark.parametrize("key", [
+        "est_max_iter", "select_best", "dual_step", "dual_bound", "regularization",
+        "feasibility_slack", "boundary_margin", "est_n_bins", "est_anchor_quantile"])
     def test_removed_est_max_iter_key_exits_1(self, tmp_path, capsys, key):
         out = tmp_path / "r.csv"
         assert main(["sweep", "--out", str(out), "--set", f"{key}=5"]) == 1

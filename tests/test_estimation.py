@@ -10,12 +10,9 @@ from fairnoise.bench import anchor_synthetic_config, synth_generate
 from fairnoise.core import Dataset
 from fairnoise.errors import (DegenerateEstimateWarning, EmptySlice,
                               ValidationError)
-from fairnoise.estimation import (EstimatorConfig, ccn_design,
-                                  estimate_ccn_rates, estimate_eo_rates,
-                                  fit_posterior)
+from fairnoise.estimation import (ccn_design, estimate_ccn_rates,
+                                  estimate_eo_rates, fit_posterior)
 from fairnoise.noise import CCNNoise, ccn_to_mc, inject_ccn, mc_to_eo
-
-from dataclasses import replace
 
 
 def anchor_data(n=20000, seed=3):
@@ -221,7 +218,3 @@ class TestDeterminism:
         a = estimate_ccn_rates(corr)
         b = estimate_ccn_rates(corr)
         assert (a.rho_plus, a.rho_minus) == (b.rho_plus, b.rho_minus)
-
-    def test_config_round_trip(self):
-        cfg = EstimatorConfig(n_bins=10, anchor_quantile=0.01)
-        assert replace(cfg, n_bins=10) == cfg

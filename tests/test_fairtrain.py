@@ -1,8 +1,6 @@
 """Constrained-trainer tests: boundary behavior, the noise-aware wrapper,
 reduction-constraint conversions and model persistence."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,9 @@ from fairnoise.core import (ConstantScorer, Criterion, Dataset, FairnessLoss,
                             deo, fairness_loss_values, predictions)
 from fairnoise.errors import (EmptySlice, InfeasibleWarning, OutOfRangeWeight,
                               ValidationError)
-from fairnoise.fairtrain import (TrainConfig, _clean_conditionals_from_corrupted,
+from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _FEASIBILITY_SLACK,
+                                 _REGULARIZATION, TrainConfig,
+                                 _clean_conditionals_from_corrupted,
                                  _criterion_masks, _Reduction,
                                  conservative_half_tolerance, load_model,
                                  mean_diff_from_reduction,
@@ -25,8 +25,7 @@ from fairnoise.fairtrain import (TrainConfig, _clean_conditionals_from_corrupted
 from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
                              corrupt_population, inject_ccn, scale_tolerance)
 
-from _random_cases import (random_dataset, random_population, random_scorer,
-                           v1_model_text)
+from _random_cases import random_dataset, random_population, random_scorer
 
 DP = Criterion.DEMOGRAPHIC_PARITY
 EO = Criterion.EQUAL_OPPORTUNITY
@@ -43,12 +42,11 @@ FAST = TrainConfig(outer_iterations=20, base_iterations=30,
 
 class TestTrainFair:
     def test_vacuous_constraint_matches_unconstrained_logistic(self, synth_data):
-        config = TrainConfig()
-        model = train_fair(synth_data, FairnessSpec(DP, tolerance=1.0), config)
+        model = train_fair(synth_data, FairnessSpec(DP, tolerance=1.0))
         n = len(synth_data)
         coef, b, _, _ = fit_logistic(
             synth_data.features, synth_data.target.astype(float),
-            np.full(n, 1.0 / n), reg=config.regularization, max_iter=3000)
+            np.full(n, 1.0 / n), reg=_REGULARIZATION, max_iter=3000)
         oracle = LinearScorer(coef, b)
         assert abs(accuracy_risk(synth_data, model)
                    - accuracy_risk(synth_data, oracle)) <= 0.01
@@ -64,7 +62,7 @@ class TestTrainFair:
 
     def test_eo_criterion_trains(self, synth_data):
         model = train_fair(synth_data, FairnessSpec(EO, tolerance=0.05), FAST)
-        assert deo(synth_data, model) <= 0.05 + FAST.feasibility_slack + 0.02
+        assert deo(synth_data, model) <= 0.05 + _FEASIBILITY_SLACK + 0.02
 
     def test_single_group_raises(self):
         data = Dataset(np.random.default_rng(0).normal(0, 1, (30, 2)),
@@ -87,15 +85,13 @@ class TestTrainFair:
         assert a.intercept == b.intercept
         assert np.array_equal(a.trace.violations, b.trace.violations)
         assert a.trace.tau == 0.1
-        assert a.trace.tau_internal == pytest.approx(0.1 - FAST.boundary_margin)
+        assert a.trace.tau_internal == pytest.approx(0.1 - _BOUNDARY_MARGIN)
 
     def test_infeasible_warns_and_returns_least_violating(self, synth_data):
-        # a dual bound this small cannot push the violation to zero
+        # five dual steps from a five-step presolve cannot reach tau = 0
         config = TrainConfig(outer_iterations=5, base_iterations=30,
                              presolve_iterations=5,
-                             presolve_base_iterations=40,
-                             dual_bound=0.05, boundary_margin=0.0,
-                             feasibility_slack=0.0)
+                             presolve_base_iterations=40)
         with pytest.warns(InfeasibleWarning):
             model = train_fair(synth_data, FairnessSpec(DP, tolerance=0.0),
                                config)
@@ -334,46 +330,6 @@ class TestModelPersistence:
         with pytest.raises(ValidationError):
             load_model(path)
 
-
-class TestFairClassifierInvariants:
-    """Version 1 model files hold a weighted ensemble; loading checks the
-    weights and collapses the members into one linear scorer."""
-
-    def test_weights_must_sum_to_one(self, tmp_path):
-        path = tmp_path / "v1.txt"
-        for weights in ([0.5, 0.6], [1.5, -0.5]):
-            path.write_text(v1_model_text(weights, [[0.0, 0.0]] * 2, [0.0, 0.0]))
-            with pytest.raises(ValidationError, match="weights"):
-                load_model(path)
-
-    def test_ensemble_score_is_weighted_average(self, tmp_path):
-        path = tmp_path / "v1.txt"
-        path.write_text(v1_model_text([0.25, 0.75], [[1.0, 0.0], [0.0, 2.0]],
-                                      [1.0, -1.0]))
-        clf = load_model(path)
-        X = np.array([[2.0, 3.0]])
-        want = 0.25 * (2.0 + 1.0) + 0.75 * (6.0 - 1.0)
-        assert clf.scores(X)[0] == pytest.approx(want, abs=1e-15)
-        assert np.array_equal(clf.coef, [0.25, 1.5])
-        assert clf.intercept == -0.5
-
-    def test_trained_v1_file_collapses_bitwise(self):
-        # Written by the version 1 writer from a real training (8 averaged
-        # iterates); the expected scorer is what that version computed.
-        path = Path(__file__).parent / "data" / "model_v1.txt"
-        rows = [[float(v) for v in line.split()]
-                for line in path.read_text().splitlines()[3:]]
-        w = np.array([row[0] for row in rows])
-        b = np.array([row[1] for row in rows])
-        C = np.array([row[2:] for row in rows])
-        clf = load_model(path)
-        assert np.array_equal(clf.coef, w @ C)
-        assert clf.intercept == float(w @ b)
-        assert [float(x).hex() for x in clf.coef] == [
-            "0x1.d6233386dae10p-2", "0x1.b24c363a4715cp-4",
-            "-0x1.768767f5678c6p-2", "-0x1.596e301ebd0b1p-5"]
-        assert float(clf.intercept).hex() == "-0x1.6e4bcfad73416p-2"
-
     @pytest.mark.parametrize("text", [
         "fairnoise-model 2\ndimension 2\n",
         "fairnoise-model 2\ndimension 2\n0 1\n",
@@ -449,7 +405,7 @@ class TestReductionBitIdentity:
         m0, m1 = _criterion_masks(data, criterion)
         if criterion == EO:
             assert not (m0 | m1).all()  # rows outside both slices
-        red = _Reduction(data, loss, m0, m1, TrainConfig())
+        red = _Reduction(data, loss, m0, m1)
         seen = []
 
         def spy(X, t, u, **kwargs):
