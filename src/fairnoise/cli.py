@@ -95,7 +95,15 @@ def _build_parser():
     return parser
 
 
+def _require_out_dir(path):
+    """Fail before any work when the directory of an output path is
+    missing, with the error its ``open`` would raise (exit 2)."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _cmd_corrupt(args):
+    _require_out_dir(args.output)
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
     noise = CCNNoise(args.rho_plus, args.rho_minus)
     corrupted = inject_ccn(data, noise, args.seed)
@@ -113,6 +121,7 @@ def _cmd_corrupt(args):
 
 
 def _cmd_estimate(args):
+    _require_out_dir(args.out)
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
     if args.eo:
         est = estimate_eo_rates(data)
@@ -156,6 +165,7 @@ def _cmd_dp_calibrate(args):
 
 
 def _cmd_train(args):
+    _require_out_dir(args.model_out)
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
     spec = FairnessSpec(sweepconfig.CRITERIA[args.criterion],
                         sweepconfig.LOSSES[args.loss], args.tau)
@@ -189,6 +199,7 @@ def _cmd_train(args):
 
 
 def _cmd_metrics(args):
+    _require_out_dir(args.out)
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
     model = load_model(args.model)
     if model.dimension != data.dimension:
@@ -223,9 +234,7 @@ def _cmd_sweep(args):
     jobs = args.jobs if args.jobs is not None else _jobs_from_env()
     if jobs < 1:
         raise _UsageExit("--jobs (or FAIRNOISE_JOBS) must be >= 1")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        # fail before the sweep runs, not when its results are written
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    _require_out_dir(args.out)
     rows = bench.run_sweep(config, jobs=jobs)
     agg_path = bench.emit_results(rows, args.out)
     done = sum(1 for r in rows if r.fairness_violation is not None)

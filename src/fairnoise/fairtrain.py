@@ -1,20 +1,22 @@
 """Fairness-constrained training and the noise-aware wrapper.
 
 The constrained problem min risk s.t. |mean-difference| <= tau is solved
-as a Lagrangian saddle point. The absolute value is split into two
-one-sided constraints with duals (lambda+, lambda-) bounded by B and
-updated by capped multiplicative exponentiated gradient on the signed
-0-1 violation minus tau. The primal best response folds the dual-weighted
+through its Lagrangian. The absolute value is split into two one-sided
+constraints with duals (lambda+, lambda-) bounded by B; a best response
+depends only on the net dual lambda+ - lambda-. It folds the dual-weighted
 fairness loss into per-example weights and soft targets of one
-regularized logistic fit, so it stays convex; its gradient sees the
-smooth (sigmoid) group rates while dual updates and feasibility use exact
-0-1 counts.
+regularized logistic fit, so it stays convex and is solved exactly; its
+gradient sees the smooth (sigmoid) group rates while the dual search and
+feasibility use exact 0-1 counts.
 
-Two deterministic refinements keep the returned classifier at the
-constraint boundary: the duals are initialised by bisection on the net
-dual pressure (killing the transient that would otherwise pollute the
-iterate average), and the internally enforced tolerance is shrunk by a
-small margin that absorbs the boundary-riding generalization gap.
+A bisection presolve on the net dual finds the constraint boundary, at an
+internal tolerance shrunk by a small margin that absorbs the
+boundary-riding generalization gap. A default training returns the one
+best response at that dual. With ``outer_iterations > 1`` the duals are
+then updated by capped multiplicative exponentiated gradient on the
+signed 0-1 violation minus tau and the iterates are averaged, as in
+Agarwal et al. (ICML 2018); with an exact convex best response that loop
+moves the net dual very little, so it is off by default.
 """
 
 import math
@@ -43,18 +45,23 @@ _BOUNDARY_MARGIN = 0.01  # the internal tolerance is tau minus this
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Iteration counts of the saddle-point reduction; its dual step and
-    bound, ridge and margins are module constants.
+    """Iteration counts of the reduction; its dual step and bound, ridge
+    and margins are module constants.
+
+    ``outer_iterations`` counts the best responses after the presolve: 1
+    (the default) fits the presolve's dual alone, more runs the
+    exponentiated-gradient dual loop for that many steps.
 
     The base learner is fixed to regularized logistic regression, solved
     to a gradient norm of 1e-8 by damped Newton, so every best response is
-    exact. ``base_iterations`` (dual loop) and ``presolve_base_iterations``
-    (each presolve step; four times that for the unconstrained start) only
-    cap the Newton iterations of one fit; a warm-started fit needs a few,
-    a cold one under ten. Training is deterministic.
+    exact. ``base_iterations`` (each fit after the presolve) and
+    ``presolve_base_iterations`` (each presolve step; four times that for
+    the unconstrained start) only cap the Newton iterations of one fit; a
+    warm-started fit needs a few, a cold one under ten. Training is
+    deterministic.
     """
 
-    outer_iterations: int = 50
+    outer_iterations: int = 1
     base_iterations: int = 40
     presolve_iterations: int = 25
     presolve_base_iterations: int = 120
@@ -69,9 +76,10 @@ class TrainConfig:
 
 @dataclass
 class TrainingTrace:
-    """One training run: the enforced tolerance, each dual-loop iterate's
-    signed training violation and whether any was feasible; the last three
-    fields are set by ``train_fair_noisy``."""
+    """One training run: the enforced tolerance, each best response's
+    signed training violation after the presolve (one entry by default,
+    ``outer_iterations`` in all) and whether any was feasible; the last
+    three fields are set by ``train_fair_noisy``."""
 
     tau: float
     tau_internal: float
@@ -239,9 +247,11 @@ def _train(data, criterion, loss, tau, config):
 def train_fair(data, spec, config=TrainConfig()):
     """Train a fairness-constrained linear classifier.
 
-    Returns the uniform average over the dual-loop iterates. When no
-    iterate is feasible an ``InfeasibleWarning`` is emitted and the
-    least-violating iterate is returned.
+    By default returns the one best response at the presolve's dual;
+    with ``config.outer_iterations > 1``, the uniform average over the
+    dual-loop iterates. When no iterate is feasible an
+    ``InfeasibleWarning`` is emitted and the least-violating iterate is
+    returned.
     """
     return _train(data, spec.criterion, spec.fairness_loss, spec.tolerance, config)
 

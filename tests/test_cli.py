@@ -8,7 +8,7 @@ import pytest
 
 from _random_cases import (FILE_MUTATIONS, csv_load_outcome, mutate_file_text,
                            row_parser_load)
-from fairnoise import bench
+from fairnoise import bench, cli
 from fairnoise.bench import (anchor_synthetic_config,
                              disparity_synthetic_config, load_csv,
                              read_results, synth_generate, write_csv)
@@ -237,6 +237,33 @@ class TestMetrics:
                      "--model", str(model)]) == 1
         err = capsys.readouterr().err
         assert "not a fairnoise model file" in err and "Traceback" not in err
+
+
+class TestMissingOutputDirectory:
+    """Every output flag is checked before the input is read, so a missing
+    directory exits 2 without doing the command's work."""
+
+    @pytest.mark.parametrize("command, flag, work", [
+        ("train", "--model-out", "train_fair"),
+        ("corrupt", "--output", "inject_ccn"),
+        ("estimate", "--out", "estimate_ccn_rates"),
+        ("metrics", "--out", "load_model")])
+    def test_exits_2_before_running(self, csv_path, tmp_path, monkeypatch,
+                                    capsys, command, flag, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setattr(bench, "load_csv", never)
+        monkeypatch.setattr(cli, work, never)
+        extra = {"train": ["--tau", "0.1"],
+                 "metrics": ["--model", str(tmp_path / "model.txt")]}
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "missing" / "out.txt"
+        assert main([command, "--input", str(csv_path), flag, str(out),
+                     *extra.get(command, [])]) == 2
+        err = capsys.readouterr().err
+        assert "io error" in err and "No such file or directory" in err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 def _save_random_model(rng, path, dimension):

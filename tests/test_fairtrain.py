@@ -1,6 +1,8 @@
 """Constrained-trainer tests: boundary behavior, the noise-aware wrapper,
 reduction-constraint conversions and model persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from fairnoise.bench import (disparity_synthetic_config, materialize,
 from fairnoise.cli import main
 from fairnoise.core import (ConstantScorer, Criterion, Dataset, FairnessLoss,
                             FairnessSpec, LinearScorer, accuracy_risk, ddp,
-                            deo, fairness_loss_values, predictions)
+                            deo, fairness_loss_values, mean_fairness_loss,
+                            predictions)
 from fairnoise.errors import (EmptySlice, InfeasibleWarning, OutOfRangeWeight,
                               ValidationError)
 from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _FEASIBILITY_SLACK,
@@ -115,6 +118,54 @@ class TestTrainConfig:
              presolve_base_iterations=10)])
     def test_small_iteration_counts_accepted(self, ok):
         assert TrainConfig(**ok).presolve_iterations == ok["presolve_iterations"]
+
+
+class TestDefaultTraining:
+    """A default training is the presolve bisection plus one best response."""
+
+    def test_default_runs_no_dual_loop(self):
+        assert TrainConfig().outer_iterations == 1
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 1.0])
+    def test_presolve_fits_plus_one(self, synth_data, monkeypatch, tau):
+        presolve = fairtrain._presolve
+        fits = []
+        presolve_fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_logistic(*args, **kwargs)
+
+        def counting_presolve(*args):
+            nu = presolve(*args)
+            presolve_fits.append(len(fits))
+            return nu
+
+        monkeypatch.setattr(fairtrain, "fit_logistic", counting_fit)
+        monkeypatch.setattr(fairtrain, "_presolve", counting_presolve)
+        train_fair(synth_data, FairnessSpec(DP, tolerance=tau))
+        assert len(fits) == presolve_fits[0] + 1
+
+    @pytest.mark.parametrize("criterion", [DP, EO])
+    def test_trace_holds_the_returned_fit_violation(self, synth_data,
+                                                    criterion):
+        spec = FairnessSpec(criterion, tolerance=0.05)
+        model = train_fair(synth_data, spec)
+        target = None if criterion == DP else 1
+        signed = (mean_fairness_loss(synth_data, model, spec.fairness_loss,
+                                     0, target)
+                  - mean_fairness_loss(synth_data, model, spec.fairness_loss,
+                                       1, target))
+        assert len(model.trace.violations) == 1
+        assert model.trace.violations[0] == signed
+
+    @pytest.mark.parametrize("criterion", [DP, EO])
+    @pytest.mark.parametrize("tau", [0.0, 0.005, 0.05])
+    def test_small_tolerances_stay_feasible(self, synth_data, criterion, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", InfeasibleWarning)
+            model = train_fair(synth_data, FairnessSpec(criterion, tolerance=tau))
+        assert model.trace.feasible
 
 
 class TestTrainFairNoisy:
