@@ -429,9 +429,11 @@ def run_cell(config, data, rep, method):
 
     Only the tolerance depends on tau, so the split, the injection, the
     rate estimate and each denoised training set are built once here;
-    then every tau trains and is evaluated. A failed training leaves empty
-    rows for its tau, a failed rate estimate or denoise for every tau it
-    feeds; each failure warns once with the reason. Deterministic.
+    then every tau trains and is evaluated. The trainings on one training
+    set share a presolve memo, dropped when its tau loop ends; the models
+    are those of separate trainings, bit for bit. A failed training leaves
+    empty rows for its tau, a failed rate estimate or denoise for every
+    tau it feeds; each failure warns once with the reason. Deterministic.
     """
     train_clean, test_clean, seed = _split(data, config, rep)
     specs = [FairnessSpec(config.criterion, config.loss, tau)
@@ -471,15 +473,16 @@ def run_cell(config, data, rep, method):
             except FairnoiseError as exc:
                 fail(f"rho_hat={pair}", exc, pair, specs)
                 continue
+        memo = {}
         for spec in specs:
             tau_prime = None
             try:
                 if method == "cor_scale":
                     model = train_fair_noisy(fit_set, spec, CCNNoise(*pair),
-                                             config.train)
+                                             config.train, memo=memo)
                     tau_prime = model.trace.tau
                 else:
-                    model = train_fair(fit_set, spec, config.train)
+                    model = train_fair(fit_set, spec, config.train, memo=memo)
                 add_rows(spec, pair, tau_prime, model)
             except FairnoiseError as exc:
                 fail(f"tau={spec.tolerance}", exc, pair, [spec], tau_prime)
@@ -517,6 +520,12 @@ def _sort_key(row):
             row.repetition, row.split)
 
 
+def agg_path(path):
+    """The companion ``*_agg`` file that ``emit_results`` writes."""
+    root, ext = os.path.splitext(path)
+    return root + "_agg" + (ext or ".csv")
+
+
 def emit_results(rows, path):
     """Write the results table plus a companion ``*_agg`` file holding
     per-(method, tau, rho_hat, split) means and standard deviations.
@@ -537,9 +546,8 @@ def emit_results(rows, path):
             continue
         key = (row.method, row.tau, row.rho_plus_hat, row.rho_minus_hat, row.split)
         groups.setdefault(key, []).append(row)
-    root, ext = os.path.splitext(path)
-    agg_path = root + "_agg" + (ext or ".csv")
-    with open(agg_path, "w", encoding="utf-8", newline="") as fh:
+    agg = agg_path(path)
+    with open(agg, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(AGG_COLUMNS)
         for key in sorted(groups, key=lambda k: tuple(
@@ -552,7 +560,7 @@ def emit_results(rows, path):
             writer.writerow([_fmt_cell(v) for v in key]
                             + [len(members), repr(float(fv.mean())), repr(std_fv),
                                repr(float(er.mean())), repr(std_er)])
-    return agg_path
+    return agg
 
 
 def read_results(path):

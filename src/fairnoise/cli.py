@@ -97,9 +97,14 @@ def _build_parser():
 
 def _require_out_dir(path):
     """Fail before any work when the directory of an output path is
-    missing, with the error its ``open`` would raise (exit 2)."""
-    if path and not os.path.isdir(os.path.dirname(path) or "."):
+    missing, or the path is itself a directory, with the error its
+    ``open`` would raise (exit 2)."""
+    if not path:
+        return
+    if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _cmd_corrupt(args):
@@ -235,6 +240,7 @@ def _cmd_sweep(args):
     if jobs < 1:
         raise _UsageExit("--jobs (or FAIRNOISE_JOBS) must be >= 1")
     _require_out_dir(args.out)
+    _require_out_dir(bench.agg_path(args.out))
     rows = bench.run_sweep(config, jobs=jobs)
     agg_path = bench.emit_results(rows, args.out)
     done = sum(1 for r in rows if r.fairness_violation is not None)

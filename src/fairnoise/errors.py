@@ -84,4 +84,5 @@ class DegenerateEstimateWarning(FairnoiseWarning):
 
 
 class InfeasibleWarning(FairnoiseWarning):
-    """No training iterate satisfied the fairness tolerance plus slack."""
+    """The presolve's best response (or, with a dual loop, every
+    iterate) exceeds the fairness tolerance plus slack."""

@@ -12,11 +12,17 @@ feasibility use exact 0-1 counts.
 A bisection presolve on the net dual finds the constraint boundary, at an
 internal tolerance shrunk by a small margin that absorbs the
 boundary-riding generalization gap. A default training returns the one
-best response at that dual. With ``outer_iterations > 1`` the duals are
-then updated by capped multiplicative exponentiated gradient on the
-signed 0-1 violation minus tau and the iterates are averaged, as in
-Agarwal et al. (ICML 2018); with an exact convex best response that loop
-moves the net dual very little, so it is off by default.
+best response at that dual. Each presolve step is an exact fit that
+depends only on the data, criterion, loss, its dual and its warm start,
+so trainings that differ only in tolerance walk one bisection tree until
+their accept/reject decisions split; given a caller-owned memo they fit
+each shared step once and reuse it bit for bit.
+
+With ``outer_iterations > 1`` the duals are then updated by capped
+multiplicative exponentiated gradient on the signed 0-1 violation minus
+tau and the iterates are averaged, as in Agarwal et al. (ICML 2018);
+with an exact convex best response that loop moves the net dual very
+little, so it is off by default.
 """
 
 import math
@@ -131,7 +137,7 @@ class _Reduction:
     ``violation`` counts the 0-1 fairness losses directly.
     """
 
-    def __init__(self, data, loss, m0, m1):
+    def __init__(self, data, loss, m0, m1, memo=None, root=()):
         self.X = data.features
         self.positive = data.target == 1
         self.loss = loss
@@ -144,6 +150,8 @@ class _Reduction:
         cls[m0] = 1
         cls[m1] = 2
         self.code = 2 * cls + data.target
+        self.memo = {} if memo is None else memo
+        self.key = root
 
     def best_response(self, nu, iters):
         # Fairness cost +nu/n0 on slice-0 losses, -nu/n1 on slice-1 losses,
@@ -170,6 +178,23 @@ class _Reduction:
                 "the features are too large to fit, rescale them")
         return self.coef.copy(), self.intercept
 
+    def presolve_step(self, nu, iters):
+        """Best response at ``nu`` warm-started from the previous step, and
+        its violation. A fit depends only on the data, criterion and loss
+        (the root key), ``nu``, ``iters`` and the warm start, which the
+        chain of earlier steps fixes; so the memo keys each step by
+        ``(parent key, nu, iters)`` and a hit restores the fit in place of
+        running it. A failed fit raises before it is stored."""
+        self.key = (self.key, nu, iters)
+        fit = self.memo.get(self.key)
+        if fit is None:
+            self.best_response(nu, iters)
+            fit = self.memo[self.key] = (self.coef, self.intercept,
+                                         self.violation())
+        else:
+            self.coef, self.intercept = fit[0], fit[1]
+        return fit[2]
+
     def violation(self):
         """Signed 0-1 violation of the current fit: slice-0 minus slice-1
         mean fairness loss."""
@@ -182,15 +207,13 @@ class _Reduction:
 
 def _presolve(red, tau_int, config):
     """Bisection on the net dual pressure to the constraint boundary."""
-    red.best_response(0.0, 4 * config.presolve_base_iterations)
-    v0 = red.violation()
+    v0 = red.presolve_step(0.0, 4 * config.presolve_base_iterations)
     if abs(v0) <= tau_int:
         return 0.0
     sgn = 1.0 if v0 > 0 else -1.0
     hi = 1.0
     while hi < _DUAL_BOUND:
-        red.best_response(sgn * hi, config.presolve_base_iterations)
-        v = red.violation()
+        v = red.presolve_step(sgn * hi, config.presolve_base_iterations)
         if sgn * v <= tau_int:
             break
         hi *= 2.0
@@ -198,8 +221,7 @@ def _presolve(red, tau_int, config):
     lo = 0.0
     for _ in range(config.presolve_iterations):
         mid = 0.5 * (lo + hi)
-        red.best_response(sgn * mid, config.presolve_base_iterations)
-        v = red.violation()
+        v = red.presolve_step(sgn * mid, config.presolve_base_iterations)
         if sgn * v <= tau_int:
             hi = mid
         else:
@@ -207,12 +229,12 @@ def _presolve(red, tau_int, config):
     return sgn * hi
 
 
-def _train(data, criterion, loss, tau, config):
+def _train(data, criterion, loss, tau, config, memo=None):
     if len(data) == 0:
         raise EmptySlice("cannot train on empty data")
     m0, m1 = _criterion_masks(data, criterion)
     tau_int = max(0.0, tau - _BOUNDARY_MARGIN)
-    red = _Reduction(data, loss, m0, m1)
+    red = _Reduction(data, loss, m0, m1, memo, root=(data, criterion, loss))
 
     nu0 = _presolve(red, tau_int, config)
     lam_p = min(_DUAL_BOUND, max(nu0, 1e-12))
@@ -234,9 +256,15 @@ def _train(data, criterion, loss, tau, config):
     trace = TrainingTrace(tau=tau, tau_internal=tau_int, violations=viols,
                           feasible=feasible)
     if not feasible:
-        warnings.warn(
-            f"no iterate reached violation <= {tau + _FEASIBILITY_SLACK:.4g}; "
-            "returning the least-violating iterate", InfeasibleWarning, stacklevel=3)
+        bound = tau + _FEASIBILITY_SLACK
+        if T == 1:
+            message = (f"the best response at the presolve's dual has "
+                       f"violation {abs(viols[0]):.4g} > {bound:.4g}; "
+                       "returning it")
+        else:
+            message = (f"no iterate reached violation <= {bound:.4g}; "
+                       "returning the least-violating iterate")
+        warnings.warn(message, InfeasibleWarning, stacklevel=3)
         i = int(np.argmin(np.abs(viols)))
         return FairClassifier(coefs[i], intercepts[i], trace)
     # The uniform average of linear iterates scores as one linear scorer.
@@ -244,16 +272,25 @@ def _train(data, criterion, loss, tau, config):
     return FairClassifier(weights @ coefs, float(weights @ intercepts), trace)
 
 
-def train_fair(data, spec, config=TrainConfig()):
+def train_fair(data, spec, config=TrainConfig(), *, memo=None):
     """Train a fairness-constrained linear classifier.
 
-    By default returns the one best response at the presolve's dual;
-    with ``config.outer_iterations > 1``, the uniform average over the
-    dual-loop iterates. When no iterate is feasible an
-    ``InfeasibleWarning`` is emitted and the least-violating iterate is
-    returned.
+    By default returns the one best response at the presolve's dual; when
+    its violation exceeds the tolerance plus the feasibility slack, an
+    ``InfeasibleWarning`` names both and it is returned all the same. With
+    ``config.outer_iterations > 1`` it returns the uniform average over
+    the dual-loop iterates, or, when no iterate is feasible, warns and
+    returns the least-violating one.
+
+    ``memo``, a dict the caller owns, shares presolve best responses
+    between trainings: those on one dataset object, criterion and loss
+    walk one bisection tree until their tolerances split it, and a shared
+    step is fitted once. The model is bit-identical to one trained
+    without it. The memo holds O(dimension) numbers per fitted step, for
+    as long as the caller keeps it.
     """
-    return _train(data, spec.criterion, spec.fairness_loss, spec.tolerance, config)
+    return _train(data, spec.criterion, spec.fairness_loss, spec.tolerance,
+                  config, memo)
 
 
 def _clean_conditionals_from_corrupted(mc, data):
@@ -298,7 +335,7 @@ def _resolve_noise(data, criterion, noise):
 
 
 def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
-                     trainer=None):
+                     trainer=None, *, memo=None):
     """Noise-aware fair training: scale the tolerance, then train as usual.
 
     ``noise`` may be an ``MCNoise``, ``EOConditionalNoise`` or ``CCNNoise``
@@ -308,7 +345,8 @@ def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
 
     Any downstream fair classifier that accepts a tolerance works as the
     base method: pass ``trainer(data, spec, config)`` and it is invoked
-    with the spec rescaled to the noise-adjusted tolerance.
+    with the spec rescaled to the noise-adjusted tolerance. Without one,
+    ``memo`` shares presolve fits as in ``train_fair``.
     """
     resolved, rates = _resolve_noise(data_corrupted, spec.criterion, noise)
     tau_prime = scale_tolerance(spec.tolerance, resolved)
@@ -325,7 +363,7 @@ def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
     else:
         noise_used = (resolved.alpha_prime, resolved.beta_prime)
     model = _train(data_corrupted, spec.criterion, spec.fairness_loss,
-                   tau_prime, config)
+                   tau_prime, config, memo)
     model.trace.tau_original = spec.tolerance
     model.trace.tolerance_scale = 1.0 - resolved.rate_sum
     model.trace.noise_used = noise_used

@@ -18,7 +18,7 @@ from fairnoise.bench import (METHODS, RESULT_COLUMNS, ExperimentConfig,
                              default_experiment_config,
                              disparity_synthetic_config, emit_results,
                              load_csv, materialize, mix_populations,
-                             read_results, run_sweep,
+                             read_results, run_cell, run_sweep,
                              synth_generate, write_csv, _inject_seed,
                              _load_numeric, _sort_key, _split)
 from fairnoise.core import (ConstantScorer, Criterion, Dataset,
@@ -807,6 +807,34 @@ class TestPerMethodRunner:
         # one estimate per (repetition, noise-consuming method)
         assert calls == {"_load_data": 1, "denoise_ccn": 2,
                          "estimate_ccn_rates": 2 * 2}
+
+    def test_cell_taus_share_presolve_fits(self, monkeypatch):
+        from fairnoise import fairtrain
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_logistic(*args, **kwargs)
+
+        monkeypatch.setattr(fairtrain, "fit_logistic", counting_fit)
+        cfg = small_config(tau_grid=(0.02, 0.05, 0.1, 0.15, 0.2),
+                           repetitions=1, train=TrainConfig())
+        data = synth_generate(cfg.synthetic)
+        shared = []
+        for _ in range(2):
+            fits.clear()
+            rows = run_cell(cfg, data, 0, "cor")
+            shared.append(len(fits))
+        # a second cell fits as much as the first: no memo outlives a cell
+        assert shared[0] == shared[1]
+
+        def train_alone(data, spec, config, memo):
+            return train_fair(data, spec, config)
+
+        monkeypatch.setattr(bench, "train_fair", train_alone)
+        fits.clear()
+        assert run_cell(cfg, data, 0, "cor") == rows
+        assert shared[0] < len(fits)
 
     def test_failed_rate_estimate_leaves_empty_rows(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -241,15 +241,16 @@ class TestMetrics:
 
 class TestMissingOutputDirectory:
     """Every output flag is checked before the input is read, so a missing
-    directory exits 2 without doing the command's work."""
+    directory, or a directory given as the output path, exits 2 without
+    doing the command's work."""
 
-    @pytest.mark.parametrize("command, flag, work", [
-        ("train", "--model-out", "train_fair"),
-        ("corrupt", "--output", "inject_ccn"),
-        ("estimate", "--out", "estimate_ccn_rates"),
-        ("metrics", "--out", "load_model")])
-    def test_exits_2_before_running(self, csv_path, tmp_path, monkeypatch,
-                                    capsys, command, flag, work):
+    COMMANDS = [("train", "--model-out", "train_fair"),
+                ("corrupt", "--output", "inject_ccn"),
+                ("estimate", "--out", "estimate_ccn_rates"),
+                ("metrics", "--out", "load_model")]
+
+    def _exits_2(self, csv_path, tmp_path, monkeypatch, capsys, command,
+                 flag, work, out):
         def never(*args, **kwargs):
             raise AssertionError(f"{command} ran")
 
@@ -257,13 +258,28 @@ class TestMissingOutputDirectory:
         monkeypatch.setattr(cli, work, never)
         extra = {"train": ["--tau", "0.1"],
                  "metrics": ["--model", str(tmp_path / "model.txt")]}
-        before = sorted(tmp_path.iterdir())
-        out = tmp_path / "missing" / "out.txt"
+        before = sorted(tmp_path.rglob("*"))
         assert main([command, "--input", str(csv_path), flag, str(out),
                      *extra.get(command, [])]) == 2
-        err = capsys.readouterr().err
-        assert "io error" in err and "No such file or directory" in err
-        assert sorted(tmp_path.iterdir()) == before
+        assert sorted(tmp_path.rglob("*")) == before
+        return capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize("command, flag, work", COMMANDS)
+    def test_exits_2_before_running(self, csv_path, tmp_path, monkeypatch,
+                                    capsys, command, flag, work):
+        out = tmp_path / "missing" / "out.txt"
+        assert self._exits_2(csv_path, tmp_path, monkeypatch, capsys, command,
+                             flag, work, out) == (
+            f"io error: [Errno 2] No such file or directory: '{out}'")
+
+    @pytest.mark.parametrize("command, flag, work", COMMANDS)
+    def test_directory_as_output_exits_2_before_running(
+            self, csv_path, tmp_path, monkeypatch, capsys, command, flag, work):
+        out = tmp_path / "somedir"
+        out.mkdir()
+        assert self._exits_2(csv_path, tmp_path, monkeypatch, capsys, command,
+                             flag, work, out) == (
+            f"io error: [Errno 21] Is a directory: '{out}'")
 
 
 def _save_random_model(rng, path, dimension):
@@ -496,17 +512,34 @@ class TestSweep:
         assert [line.split()[:2] for line in lines] == [
             ["cor_scale", "tau=0.05"], ["nocor", "tau=0.05"]]
 
-    def test_missing_out_directory_exits_2_before_running(self, tmp_path,
-                                                          monkeypatch, capsys):
+    def _sweep_exits_2(self, tmp_path, monkeypatch, capsys, out):
         def run_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
         monkeypatch.setattr(bench, "run_sweep", run_sweep)
-        out = tmp_path / "missing" / "results.csv"
+        before = sorted(tmp_path.rglob("*"))
         assert main(["sweep", "--set", "repetitions=1", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "io error" in err and "No such file or directory" in err
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.rglob("*")) == before
+        return capsys.readouterr().err.strip()
+
+    def test_missing_out_directory_exits_2_before_running(self, tmp_path,
+                                                          monkeypatch, capsys):
+        out = tmp_path / "missing" / "results.csv"
+        assert self._sweep_exits_2(tmp_path, monkeypatch, capsys, out) == (
+            f"io error: [Errno 2] No such file or directory: '{out}'")
+
+    def test_directory_as_out_exits_2_before_running(self, tmp_path,
+                                                     monkeypatch, capsys):
+        out = tmp_path / "somedir"
+        out.mkdir()
+        assert self._sweep_exits_2(tmp_path, monkeypatch, capsys, out) == (
+            f"io error: [Errno 21] Is a directory: '{out}'")
+        # the companion _agg file's path is checked as well
+        agg = tmp_path / "r_agg.csv"
+        agg.mkdir()
+        assert self._sweep_exits_2(tmp_path, monkeypatch, capsys,
+                                   tmp_path / "r.csv") == (
+            f"io error: [Errno 21] Is a directory: '{agg}'")
 
     def test_unknown_set_key_exits_1(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "r.csv"),

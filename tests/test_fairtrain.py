@@ -15,7 +15,8 @@ from fairnoise.core import (ConstantScorer, Criterion, Dataset, FairnessLoss,
                             FairnessSpec, LinearScorer, accuracy_risk, ddp,
                             deo, fairness_loss_values, mean_fairness_loss,
                             predictions)
-from fairnoise.errors import (EmptySlice, InfeasibleWarning, OutOfRangeWeight,
+from fairnoise.errors import (EmptySlice, InfeasibleWarning, NumericalError,
+                              OutOfRangeWeight, PairingWarning,
                               ValidationError)
 from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _FEASIBILITY_SLACK,
                                  _REGULARIZATION, TrainConfig,
@@ -146,6 +147,16 @@ class TestDefaultTraining:
         train_fair(synth_data, FairnessSpec(DP, tolerance=tau))
         assert len(fits) == presolve_fits[0] + 1
 
+    def test_infeasible_warning_names_the_one_best_response(self, synth_data):
+        # two bisection steps leave the dual short of the boundary at tau 0
+        with pytest.warns(InfeasibleWarning,
+                          match=r"^the best response at the presolve's dual "
+                                r"has violation 0\.\d+ > 0\.01; returning it$"):
+            model = train_fair(synth_data, FairnessSpec(DP, tolerance=0.0),
+                               TrainConfig(presolve_iterations=2))
+        assert not model.trace.feasible
+        assert ddp(synth_data, model) == abs(model.trace.violations[0]) > 0.01
+
     @pytest.mark.parametrize("criterion", [DP, EO])
     def test_trace_holds_the_returned_fit_violation(self, synth_data,
                                                     criterion):
@@ -166,6 +177,120 @@ class TestDefaultTraining:
             warnings.simplefilter("error", InfeasibleWarning)
             model = train_fair(synth_data, FairnessSpec(criterion, tolerance=tau))
         assert model.trace.feasible
+
+
+def _specs(criterion, loss, taus):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PairingWarning)
+        return [FairnessSpec(criterion, loss, tau) for tau in taus]
+
+
+def _train_recording(data, spec, config, memo=None):
+    """The model and the messages of the InfeasibleWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", InfeasibleWarning)
+        model = train_fair(data, spec, config, memo=memo)
+    return model, [str(w.message) for w in caught]
+
+
+class TestPresolveMemo:
+    """Trainings that share a presolve memo return the models of separate
+    trainings, bit for bit, and fit a shared bisection step once."""
+
+    # at tau = inf the unconstrained fit (nu = 0) is feasible, so the
+    # presolve stops at the root of the tree
+    TAUS = (0.0, 0.005, 0.02, 0.1, 0.2, np.inf)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synth_generate(disparity_synthetic_config(n=800, seed=5))
+
+    @pytest.mark.parametrize("config", [
+        TrainConfig(), TrainConfig(presolve_iterations=0),
+        TrainConfig(presolve_iterations=2)], ids=["default", "p0", "p2"])
+    @pytest.mark.parametrize("loss", [None, FairnessLoss.PREDICT_NONPOSITIVE,
+                                      FairnessLoss.ZERO_ONE])
+    @pytest.mark.parametrize("criterion", [DP, EO])
+    def test_shared_memo_is_bit_identical(self, data, criterion, loss, config):
+        memo = {}
+        for spec in _specs(criterion, loss, self.TAUS):
+            shared, shared_warned = _train_recording(data, spec, config, memo)
+            alone, alone_warned = _train_recording(data, spec, config)
+            assert shared.coef.tobytes() == alone.coef.tobytes()
+            assert shared.intercept == alone.intercept
+            assert (shared.trace.violations.tobytes()
+                    == alone.trace.violations.tobytes())
+            assert shared.trace.feasible == alone.trace.feasible
+            assert shared_warned == alone_warned
+            assert len(alone_warned) == (not alone.trace.feasible)
+        if config.presolve_iterations == 2:
+            assert len(_train_recording(data, _specs(criterion, loss, [0.0])[0],
+                                        config, memo)[1]) == 1
+        # an entry holds a fit's coefficients, intercept and violation only
+        assert all(coef.shape == (data.dimension,) and isinstance(b, float)
+                   and isinstance(v, float) for coef, b, v in memo.values())
+
+    def test_failed_fit_fails_every_tau_alike(self, data):
+        big = Dataset(1e160 * data.features, data.sensitive, data.target)
+        memo = {}
+        messages = []
+        for spec in _specs(DP, None, self.TAUS):
+            for shared in (memo, None):
+                with pytest.raises(NumericalError, match="fit overflowed") as exc:
+                    train_fair(big, spec, memo=shared)
+                messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        assert memo == {}
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return fit_logistic(*args, **kwargs)
+
+        monkeypatch.setattr(fairtrain, "fit_logistic", counting_fit)
+        return calls
+
+    def test_shared_steps_are_fitted_once(self, data, fits):
+        specs = _specs(DP, None, (0.02, 0.05, 0.1, 0.15, 0.2))
+        alone = []
+        for spec in specs:
+            train_fair(data, spec)
+            alone.append(len(fits))
+        fits.clear()
+        memo = {}
+        train_fair(data, specs[0], memo=memo)
+        # a one-tau training fits every step: presolve fits plus one
+        assert len(fits) == alone[0]
+        for spec in specs[1:]:
+            train_fair(data, spec, memo=memo)
+        assert len(fits) < alone[-1]
+        # a repeated training finds its whole presolve in the memo
+        fits.clear()
+        train_fair(data, specs[0], memo=memo)
+        assert len(fits) == 1
+
+    def test_no_hit_outside_a_memo_and_its_scope(self, data, fits):
+        spec = FairnessSpec(DP, tolerance=0.05)
+        train_fair(data, spec)
+        alone = len(fits)
+        fits.clear()
+        train_fair(data, spec)  # nothing outlives a memo-less call
+        assert len(fits) == alone
+        memo = {}
+        train_fair(data, spec, memo=memo)
+        # another dataset object or criterion starts a tree of its own
+        copy = Dataset(data.features, data.sensitive, data.target)
+        for other_data, other_spec in ((copy, spec),
+                                       (data, FairnessSpec(EO, tolerance=0.05))):
+            fits.clear()
+            train_fair(other_data, other_spec)
+            alone = len(fits)
+            fits.clear()
+            train_fair(other_data, other_spec, memo=memo)
+            assert len(fits) == alone
 
 
 class TestTrainFairNoisy:
