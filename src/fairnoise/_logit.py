@@ -7,9 +7,10 @@ intercept), so each iteration forms the (d+1)x(d+1) Hessian
 ``X~^T diag(w p (1 - p)) X~ + reg`` (``X~`` is ``X`` with an intercept
 column) and solves it exactly; a backtracking (Armijo) line search on the
 weighted cross-entropy makes every accepted step decrease the objective.
-A cold fit reaches a gradient norm of 1e-8 in under ten iterations and a
-warm-started one in two or three, so a fit is an exact best response,
-not a fixed number of descent steps.
+A cold fit reaches a gradient norm of 1e-8 in under ten iterations, and
+a warm start already within a rounding error of the optimum stops at its
+first gradient, before the loss is ever evaluated; so a fit is an exact
+best response, not a fixed number of descent steps.
 
 Kernel contract:
 
@@ -29,9 +30,12 @@ Kernel contract:
   arrays are never written.
 - Finite input never raises. A singular Hessian (a zero, constant or
   duplicated column at ``reg = 0``), or a nearly singular one whose
-  solve is not finite, gets the least-squares, minimum-norm Newton step;
-  when the Hessian overflows, or no step length decreases the loss, the
-  fit stops where it is. A trial step whose loss overflows is rejected.
+  solve is not finite, gets the least-squares, minimum-norm Newton step.
+  When no length of the Newton step decreases the loss (a saturated warm
+  start, whose curvature underflows), the line search backtracks along
+  the negative gradient instead; when that fails too, or the Hessian
+  overflows, the fit stops where it is. A trial step whose loss
+  overflows is rejected.
 - A fit emits no floating-point warning. Input so large that the
   gradient overflows ends the fit with a non-finite gradient norm, which
   every caller turns into a ``NumericalError``.
@@ -94,9 +98,27 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
         np.maximum(s, 0.0, out=col)
         return float(f + wn @ col) + 0.5 * reg * float(v[:d] @ v[:d])
 
+    def line_search(step, f, trial):
+        # Armijo backtracking from the full step: the accepted point and its
+        # loss (its score left in ``trial``), or None when no length
+        # decreases the loss ``f``. A huge trial step can overflow to a
+        # non-finite loss, which the comparison rejects like any other
+        # non-decrease.
+        slope = float(g @ step)
+        a = 1.0
+        for _ in range(_HALVINGS):
+            v = z + a * step
+            np.matmul(X, v[:d], out=trial)
+            trial += v[d]
+            f_new = loss(trial, v)
+            if f_new < f and f_new <= f + _ARMIJO * a * slope:
+                return v, f_new
+            a *= 0.5
+        return None
+
     np.matmul(X, coef, out=score)
     score += z[d]
-    f = loss(score, z)
+    f = None  # the loss at z, first evaluated when a line search needs it
     it = 0
     for it in range(1, max_iter + 1):
         r = sigmoid(score)
@@ -126,23 +148,14 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
             if not np.isfinite(H).all():
                 break  # the curvature overflows: no step to take, stay put
             step = np.linalg.lstsq(H, -g, rcond=None)[0]
-        slope = float(g @ step)
-
-        a = 1.0
-        # a huge trial step can overflow to a non-finite loss, which the
-        # comparison rejects like any other non-decrease
-        for _ in range(_HALVINGS):
-            v = z + a * step
-            np.matmul(X, v[:d], out=trial)
-            trial += v[d]
-            f_new = loss(trial, v)
-            if f_new < f and f_new <= f + _ARMIJO * a * slope:
-                break
-            a *= 0.5
-        else:
+        if f is None:
+            f = loss(score, z)
+        accepted = (line_search(step, f, trial)
+                    or line_search(-g, f, trial))
+        if accepted is None:
             break  # no step length decreases the loss: stay put
+        v, f = accepted
         z[:] = v
-        f = f_new
         score, trial = trial, score
     gnorm = math.sqrt(g @ g) if it else np.inf
     return z[:d], float(z[d]), it, gnorm

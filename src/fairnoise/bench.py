@@ -430,8 +430,10 @@ def run_cell(config, data, rep, method):
     Only the tolerance depends on tau, so the split, the injection, the
     rate estimate and each denoised training set are built once here;
     then every tau trains and is evaluated. The trainings on one training
-    set share a presolve memo, dropped when its tau loop ends; the models
-    are those of separate trainings, bit for bit. A failed training leaves
+    set share a presolve memo: cor_scale trains every rho-hat pair on the
+    corrupted set, so its memo lives for the cell, while each denoised set
+    has its own, dropped when its tau loop ends. The models are those of
+    separate trainings, bit for bit. A failed training leaves
     empty rows for its tau, a failed rate estimate or denoise for every
     tau it feeds; each failure warns once with the reason. Deterministic.
     """
@@ -465,6 +467,7 @@ def run_cell(config, data, rep, method):
         except FairnoiseError as exc:
             fail("rate estimate", exc, None, specs)
             return rows
+    memo = {}
     for pair in pairs:
         fit_set = train_set
         if method == "denoise":
@@ -473,7 +476,7 @@ def run_cell(config, data, rep, method):
             except FairnoiseError as exc:
                 fail(f"rho_hat={pair}", exc, pair, specs)
                 continue
-        memo = {}
+            memo = {}
         for spec in specs:
             tau_prime = None
             try:

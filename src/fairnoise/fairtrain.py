@@ -11,12 +11,17 @@ feasibility use exact 0-1 counts.
 
 A bisection presolve on the net dual finds the constraint boundary, at an
 internal tolerance shrunk by a small margin that absorbs the
-boundary-riding generalization gap. A default training returns the one
-best response at that dual. Each presolve step is an exact fit that
-depends only on the data, criterion, loss, its dual and its warm start,
-so trainings that differ only in tolerance walk one bisection tree until
-their accept/reject decisions split; given a caller-owned memo they fit
-each shared step once and reuse it bit for bit.
+boundary-riding generalization gap: a doubling search brackets it in
+[0, hi], then a fixed number of halvings (18 by default) narrows the
+bracket to hi * 2**-18. Each halving step starts from the chord midpoint
+of the fits at its bracket ends, so a deep step converges at its first
+gradient. A default training returns the one best response at the
+bracket's feasible end. Each presolve step is an exact fit that depends
+only on the data, criterion, loss, its dual and its warm start, which
+the path of earlier accept/reject decisions fixes; so trainings that
+differ only in tolerance walk one bisection tree until their decisions
+split, and given a caller-owned memo they fit each shared step once and
+reuse it bit for bit.
 
 With ``outer_iterations > 1`` the duals are then updated by capped
 multiplicative exponentiated gradient on the signed 0-1 violation minus
@@ -63,13 +68,16 @@ class TrainConfig:
     exact. ``base_iterations`` (each fit after the presolve) and
     ``presolve_base_iterations`` (each presolve step; four times that for
     the unconstrained start) only cap the Newton iterations of one fit; a
-    warm-started fit needs a few, a cold one under ten. Training is
-    deterministic.
+    cold one needs under ten, a chord-started bisection step one to three.
+    ``presolve_iterations`` is the bisection depth: the returned dual is
+    within ``hi * 2**-presolve_iterations`` of the boundary, where ``hi``
+    is the doubling bracket's top: the first of 1, 2, 4, ... whose fit is
+    feasible, capped at the dual bound. Training is deterministic.
     """
 
     outer_iterations: int = 1
     base_iterations: int = 40
-    presolve_iterations: int = 25
+    presolve_iterations: int = 18
     presolve_base_iterations: int = 120
 
     def __post_init__(self):
@@ -179,7 +187,7 @@ class _Reduction:
         return self.coef.copy(), self.intercept
 
     def presolve_step(self, nu, iters):
-        """Best response at ``nu`` warm-started from the previous step, and
+        """Best response at ``nu`` warm-started from the current fit, and
         its violation. A fit depends only on the data, criterion and loss
         (the root key), ``nu``, ``iters`` and the warm start, which the
         chain of earlier steps fixes; so the memo keys each step by
@@ -206,10 +214,19 @@ class _Reduction:
 
 
 def _presolve(red, tau_int, config):
-    """Bisection on the net dual pressure to the constraint boundary."""
+    """Bisection on the net dual pressure to the constraint boundary.
+
+    The doubling steps start from the previous fit; each bisection step
+    starts from the chord midpoint of the fits at the bracket ends, which
+    is O(width^2) from its answer because the fit is smooth in the dual.
+    The fit at the bracket's upper end is left as the warm start of the
+    final best response, which a converged fit at the returned dual ends
+    at its first gradient.
+    """
     v0 = red.presolve_step(0.0, 4 * config.presolve_base_iterations)
     if abs(v0) <= tau_int:
         return 0.0
+    lo_fit = red.coef, red.intercept
     sgn = 1.0 if v0 > 0 else -1.0
     hi = 1.0
     while hi < _DUAL_BOUND:
@@ -217,15 +234,19 @@ def _presolve(red, tau_int, config):
         if sgn * v <= tau_int:
             break
         hi *= 2.0
+    hi_fit = red.coef, red.intercept
     hi = min(hi, _DUAL_BOUND)
     lo = 0.0
     for _ in range(config.presolve_iterations):
         mid = 0.5 * (lo + hi)
+        red.coef = 0.5 * (lo_fit[0] + hi_fit[0])
+        red.intercept = 0.5 * (lo_fit[1] + hi_fit[1])
         v = red.presolve_step(sgn * mid, config.presolve_base_iterations)
         if sgn * v <= tau_int:
-            hi = mid
+            hi, hi_fit = mid, (red.coef, red.intercept)
         else:
-            lo = mid
+            lo, lo_fit = mid, (red.coef, red.intercept)
+    red.coef, red.intercept = hi_fit
     return sgn * hi
 
 

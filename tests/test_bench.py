@@ -836,6 +836,48 @@ class TestPerMethodRunner:
         assert run_cell(cfg, data, 0, "cor") == rows
         assert shared[0] < len(fits)
 
+    def test_cor_scale_pairs_share_one_memo(self, monkeypatch):
+        # cor_scale trains every rho-hat pair on the one corrupted set, so
+        # one memo serves the cell; each denoised set gets its own
+        from fairnoise import fairtrain
+        fits, memos = [], []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_logistic(*args, **kwargs)
+
+        def recording(train):
+            def wrapper(*args, memo, **kwargs):
+                memos.append(memo)
+                return train(*args, memo=memo, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fairtrain, "fit_logistic", counting_fit)
+        for name in ("train_fair", "train_fair_noisy"):
+            monkeypatch.setattr(bench, name, recording(getattr(bench, name)))
+        grid = ((0.1, 0.1), (0.15, 0.15), (0.2, 0.2))
+        cfg = small_config(tau_grid=(0.02, 0.05, 0.1, 0.15, 0.2),
+                           repetitions=1, train=TrainConfig(),
+                           noise_mode="rho_hat_sweep", rho_hat_grid=grid)
+        data = synth_generate(cfg.synthetic)
+        rows = run_cell(cfg, data, 0, "cor_scale")
+        shared = len(fits)
+        assert len(memos) == 3 * 5 and len({id(m) for m in memos}) == 1
+        memos.clear()
+        run_cell(cfg, data, 0, "denoise")
+        assert len(memos) == 3 * 5 and len({id(m) for m in memos}) == 3
+
+        per_pair = {}
+
+        def train_per_pair(data, spec, noise, config, memo):
+            memo = per_pair.setdefault((noise.rho_plus, noise.rho_minus), {})
+            return train_fair_noisy(data, spec, noise, config, memo=memo)
+
+        monkeypatch.setattr(bench, "train_fair_noisy", train_per_pair)
+        fits.clear()
+        assert run_cell(cfg, data, 0, "cor_scale") == rows
+        assert len(per_pair) == 3 and shared < len(fits)
+
     def test_failed_rate_estimate_leaves_empty_rows(self, tmp_path):
         p = tmp_path / "d.csv"
         _no_apparent_a0_in_train_csv(p)

@@ -110,14 +110,18 @@ def _unbuffered_fit(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
             if not np.isfinite(H).all():
                 break
             step = np.linalg.lstsq(H, -g, rcond=None)[0]
-        slope = float(g @ step)
-        a = 1.0
-        for _ in range(40):
-            v = z + a * step
-            f_new = loss(v)
-            if f_new < f and f_new <= f + 1e-4 * a * slope:
-                break
-            a *= 0.5
+        for direction in (step, -g):  # Newton, then the gradient fallback
+            slope = float(g @ direction)
+            a = 1.0
+            for _ in range(40):
+                v = z + a * direction
+                f_new = loss(v)
+                if f_new < f and f_new <= f + 1e-4 * a * slope:
+                    break
+                a *= 0.5
+            else:
+                continue
+            break
         else:
             break
         z, f = v, f_new
@@ -237,6 +241,31 @@ class TestFitLogistic:
                              intercept0=cold[1])
         assert again[2] == 1 and np.array_equal(again[0], cold[0])
 
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_converged_start_returns_it_bit_for_bit(self, n, d, monkeypatch):
+        # one gradient and no loss evaluation (the loss is the one caller
+        # of log1p): a chord-started presolve step or final best response
+        # that is already converged costs that much
+        log1p_calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def log1p(self, *args, **kwargs):
+                log1p_calls.append(1)
+                return np.log1p(*args, **kwargs)
+
+        monkeypatch.setattr(_logit, "np", CountingNumpy())
+        X, targets, weights, _ = _problem(n, d, seed=5 * n + d)
+        opt = _fit_quietly(X, targets, weights, reg=3e-3)
+        assert opt[3] <= 1e-8 and log1p_calls
+        log1p_calls.clear()
+        again = _fit_quietly(X, targets, weights, reg=3e-3, coef0=opt[0],
+                             intercept0=opt[1])
+        assert again[2] == 1 and again[3] == opt[3] and not log1p_calls
+        assert again[0].tobytes() == opt[0].tobytes() and again[1] == opt[1]
+
     def test_soft_targets_and_zero_weights(self):
         X, targets, weights, _ = _problem(300, 3, seed=6)
         weights[::3] = 0.0
@@ -352,6 +381,23 @@ class TestDegenerateInputs:
                                               coef0=coef0, intercept0=-0.25)
         assert np.isfinite(coef).all() and np.isfinite(b)
         assert np.isfinite(gnorm) and n_iter >= 1
+
+    @pytest.mark.parametrize("n, reg", [(1, 3e-3), (1, 0.0), (7, 0.0)])
+    def test_saturated_warm_start_falls_back_to_the_gradient(self, n, reg):
+        # Features scaled by 4 and this warm start saturate the sigmoid: the
+        # curvature underflows, the Newton step is huge and no length of it
+        # decreases the loss (the fit used to stop there, at n = 1 after
+        # one iteration at gradient norm 15). Backtracking along the
+        # negative gradient carries it on to the cold start's optimum.
+        X, targets, weights, coef0 = _problem(n, 4, seed=14)
+        X = 4 * X
+        warm = _fit_quietly(X, targets, weights, reg=reg, coef0=coef0,
+                            intercept0=-0.25)
+        cold = _fit_quietly(X, targets, weights, reg=reg)
+        assert warm[3] <= 1e-8 and cold[3] <= 1e-8
+        # at reg = 0 with one row the optimum is a set; its scores agree
+        assert np.allclose(X @ warm[0] + warm[1], X @ cold[0] + cold[1],
+                           rtol=0, atol=1e-7)
 
     def test_nearly_singular_hessian_takes_the_least_squares_step(self):
         # One row with a huge feature and a warm start: the curvature
