@@ -7,21 +7,21 @@ randomized-response privacy calibration, a relabeling baseline and a
 benchmark harness.
 """
 
-from .core import (ConstantScorer, Criterion, Dataset, DiscretePopulation,
-                   FairnessLoss, FairnessSpec, LinearScorer, accuracy_risk,
+from .core import (Criterion, Dataset, DiscretePopulation, FairnessLoss,
+                   FairnessSpec, LinearScorer, accuracy_risk,
                    condition_population, ddp, deo, disparity,
                    mean_fairness_loss, predictions)
-from .denoise import DenoiseReport, denoise_ccn
+from .denoise import denoise_ccn
 from .estimation import (PosteriorModel, estimate_ccn_rates, estimate_eo_rates,
                          fit_posterior)
 from .fairtrain import (FairClassifier, TrainConfig, TrainingTrace,
                         conservative_half_tolerance, load_model,
-                        mean_diff_from_reduction, reduction_constraint_value,
-                        save_model, train_fair, train_fair_noisy)
+                        reduction_constraint_value, save_model, train_fair,
+                        train_fair_noisy)
 from .noise import (CCNNoise, EOConditionalNoise, MCNoise, ccn_to_mc,
                     ccn_to_mc_from_corrupted, corrupt_population,
                     dp_epsilon_for_rho, dp_rho_for_epsilon, inject_ccn,
-                    inject_pu, mc_to_eo, scale_tolerance)
+                    mc_to_eo, scale_tolerance)
 
 __version__ = "0.1.0"
 

@@ -104,11 +104,6 @@ def disparity_synthetic_config(n=4000, seed=23, base_rate=0.25, p_y1_a1=0.65,
     return SyntheticConfig(tuple(means), props, 1.0, n, seed)
 
 
-def default_synthetic_config():
-    """The shipped default benchmark sample (n=4000)."""
-    return disparity_synthetic_config()
-
-
 def anchor_synthetic_config(n=20000, seed=3, separation=2.0):
     """Synthetic family with anchor regions: the group feature's class
     means sit ``2 * separation`` standard deviations apart, so the tails
@@ -392,7 +387,7 @@ RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 def default_experiment_config():
     """The shipped benchmark defaults (the privacy-noise regime on the
     default synthetic sample)."""
-    return ExperimentConfig(synthetic=default_synthetic_config())
+    return ExperimentConfig(synthetic=disparity_synthetic_config())
 
 
 def _load_data(config):
@@ -472,7 +467,7 @@ def run_cell(config, data, rep, method):
         fit_set = train_set
         if method == "denoise":
             try:
-                fit_set, _ = denoise_ccn(train_set, CCNNoise(*pair))
+                fit_set = denoise_ccn(train_set, CCNNoise(*pair))
             except FairnoiseError as exc:
                 fail(f"rho_hat={pair}", exc, pair, specs)
                 continue

@@ -9,15 +9,12 @@ score of exactly 0 predicts class 0.
 """
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDataset, EmptySlice, PairingWarning, ValidationError
-
-_COMPENSATED_THRESHOLD = 100_000
 
 
 class Criterion(enum.Enum):
@@ -194,16 +191,6 @@ class LinearScorer:
         return np.asarray(X, dtype=float) @ self.coef + self.intercept
 
 
-class ConstantScorer:
-    """Scores every instance with the same value."""
-
-    def __init__(self, value):
-        self.value = float(value)
-
-    def scores(self, X):
-        return np.full(np.asarray(X).shape[0], self.value)
-
-
 def predictions(scorer, X):
     """Deterministic sign-threshold predictions: score > 0 -> 1, else 0."""
     return (np.asarray(scorer.scores(X)) > 0).astype(np.int64)
@@ -215,8 +202,9 @@ class FairnessSpec:
 
     When ``fairness_loss`` is omitted the default pairing is used
     (demographic parity with PREDICT_NONPOSITIVE, equal opportunity with
-    ZERO_ONE). Other pairings are accepted but flagged with a
-    ``PairingWarning``.
+    ZERO_ONE). On the Y=1 slice that equal opportunity measures the two
+    losses coincide, so only demographic parity with ZERO_ONE changes
+    results; it is accepted but flagged with a ``PairingWarning``.
     """
 
     criterion: Criterion
@@ -230,7 +218,10 @@ class FairnessSpec:
             raise ValidationError("tolerance must be >= 0")
         if self.fairness_loss is None:
             object.__setattr__(self, "fairness_loss", DEFAULT_LOSS[self.criterion])
-        elif self.fairness_loss != DEFAULT_LOSS[self.criterion]:
+        if not isinstance(self.fairness_loss, FairnessLoss):
+            raise ValidationError("fairness_loss must be a FairnessLoss")
+        if (self.criterion == Criterion.DEMOGRAPHIC_PARITY
+                and self.fairness_loss == FairnessLoss.ZERO_ONE):
             warnings.warn(
                 f"non-default pairing of {self.criterion.name} with "
                 f"{self.fairness_loss.name}", PairingWarning, stacklevel=2)
@@ -255,15 +246,13 @@ def _slice_mask(sensitive, target, a, y):
 
 
 def _mean(values, weights=None):
-    # Unweighted values are 0/1 losses, whose sum numpy forms exactly. For
-    # weighted (population) slices, compensated summation keeps large-slice
-    # means exact at the 1e-12 tolerances the population oracles are held to.
+    # Unweighted values are 0/1 losses, whose sum numpy forms exactly.
+    # Weighted ones are population slices of a few dozen cells, where a
+    # plain sum stays within the 1e-12 tolerances the oracles are held to.
     values = np.asarray(values, dtype=float)
     if weights is None:
         return float(values.mean())
     weights = np.asarray(weights, dtype=float)
-    if len(values) > _COMPENSATED_THRESHOLD:
-        return math.fsum(values * weights) / math.fsum(weights)
     return float((values * weights).sum() / weights.sum())
 
 

@@ -4,7 +4,6 @@ denoisers; comparative benchmark role only, labeled "denoise (simplified)"
 in all outputs).
 """
 
-from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -13,18 +12,6 @@ from .errors import EmptySlice
 from .estimation import ccn_design, fit_posterior
 
 LABEL = "denoise (simplified)"
-
-
-@dataclass(frozen=True)
-class DenoiseReport:
-    """Relabel counts per direction and the affected sample fraction."""
-
-    n_to_0: int
-    n_to_1: int
-    group_size_1: int
-    group_size_0: int
-    fraction_relabeled: float
-    entire_group_relabeled: bool
 
 
 def denoise_ccn(data, rates):
@@ -36,7 +23,8 @@ def denoise_ccn(data, rates):
     to 1. Ranking uses the posterior's raw score (the calibrated
     probability is piecewise constant, which would tie whole blocks), so
     no calibration setting can change the result; score ties break by
-    original index order. Features and targets are untouched.
+    original index order. Returns the relabeled dataset; features and
+    targets are untouched.
     """
     if len(data) == 0:
         raise EmptySlice("cannot denoise empty data")
@@ -56,10 +44,4 @@ def denoise_ccn(data, rates):
     new_a[order[:k1]] = 0
     order = idx0[np.lexsort((idx0, -eta[idx0]))]
     new_a[order[:k0]] = 1
-
-    report = DenoiseReport(
-        n_to_0=int(k1), n_to_1=int(k0),
-        group_size_1=int(len(idx1)), group_size_0=int(len(idx0)),
-        fraction_relabeled=float((k1 + k0) / len(data)),
-        entire_group_relabeled=bool(k1 == len(idx1) or k0 == len(idx0)))
-    return data.with_sensitive(new_a), report
+    return data.with_sensitive(new_a)

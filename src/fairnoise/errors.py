@@ -25,10 +25,6 @@ class OutOfRangeRho(ValidationError):
     pass
 
 
-class OutOfRangeWeight(ValidationError):
-    pass
-
-
 class DataError(FairnoiseError):
     """The supplied data cannot support the requested operation."""
 

@@ -40,7 +40,7 @@ from ._logit import fit_logistic
 from .core import (Criterion, FairnessLoss, FairnessSpec, LinearScorer,
                    mean_fairness_loss)
 from .errors import (EmptySlice, InfeasibleWarning, NumericalError,
-                     OutOfRangeWeight, PairingWarning, ValidationError)
+                     PairingWarning, ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
 from .noise import (CCNNoise, EOConditionalNoise, MCNoise,
                     ccn_to_mc_from_corrupted, mc_to_eo, scale_tolerance)
@@ -405,14 +405,6 @@ def reduction_constraint_value(data, scorer, criterion=Criterion.DEMOGRAPHIC_PAR
                                         target=y_cond)
         dev = max(dev, abs(rate - overall))
     return dev
-
-
-def mean_diff_from_reduction(value, pi_weight):
-    """Invert the base-rate scaling between the reduction-style constraint
-    and the mean-difference score: returns value / pi_weight."""
-    if not 0.5 <= pi_weight <= 1.0:
-        raise OutOfRangeWeight("pi_weight must lie in [0.5, 1]")
-    return value / pi_weight
 
 
 def conservative_half_tolerance(tau, noise):

@@ -1,5 +1,5 @@
 """Sensitive-attribute noise: the mutually-contaminated (MC) model and
-its class-conditional (CCN) and censoring (PU) special cases.
+its class-conditional (CCN) special case; censoring is CCNNoise(0, rho-).
 
 Provides sample-level injection, exact population-level corruption,
 parameter conversions between the CCN, MC and EO-conditional
@@ -92,12 +92,6 @@ def inject_ccn(data, noise, seed):
     a = data.sensitive
     flip = np.where(a == 1, u < noise.rho_plus, u < noise.rho_minus)
     return data.with_sensitive(np.where(flip, 1 - a, a))
-
-
-def inject_pu(data, rho_minus, seed):
-    """Censoring corruption: true A=0 examples appear as A=1 with rate
-    rho_minus, never the reverse (rho_plus = 0)."""
-    return inject_ccn(data, CCNNoise(0.0, rho_minus), seed)
 
 
 def corrupt_population(pop, noise, target_base_rate):

@@ -21,9 +21,9 @@ from fairnoise.bench import (METHODS, RESULT_COLUMNS, ExperimentConfig,
                              read_results, run_cell, run_sweep,
                              synth_generate, write_csv, _inject_seed,
                              _load_numeric, _sort_key, _split)
-from fairnoise.core import (ConstantScorer, Criterion, Dataset,
-                            DiscretePopulation, FairnessSpec, LinearScorer,
-                            accuracy_risk, ddp, deo, disparity)
+from fairnoise.core import (Criterion, Dataset, DiscretePopulation,
+                            FairnessSpec, LinearScorer, accuracy_risk, ddp,
+                            deo, disparity)
 from fairnoise.denoise import denoise_ccn
 from fairnoise.errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
                               ParseError, SchemaError, ValidationError)
@@ -289,7 +289,7 @@ class TestOracles:
     def test_uniform_population_constant_scorer(self):
         pop = DiscretePopulation(np.zeros((4, 1)), [0, 0, 1, 1], [0, 1, 0, 1],
                                  [0.25] * 4)
-        scorer = ConstantScorer(1.0)
+        scorer = LinearScorer([0.0], 1.0)
         d, e, r = ddp(pop, scorer), deo(pop, scorer), accuracy_risk(pop, scorer)
         assert d == 0.0 and e == 0.0
         assert r == pytest.approx(0.5, abs=1e-15)
@@ -716,7 +716,7 @@ def _ref_run_cell(config, rep, tau):
         else:
             for pair in _ref_rate_pairs(config, corrupted):
                 def denoise_runner(pair=pair):
-                    cleaned, _ = denoise_ccn(corrupted, CCNNoise(*pair))
+                    cleaned = denoise_ccn(corrupted, CCNNoise(*pair))
                     return train_fair(cleaned, spec, config.train), None
                 record(method, pair, denoise_runner)
     return rows

@@ -1,14 +1,16 @@
 """Metrics and data-model tests."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from fairnoise.core import (ConstantScorer, Criterion, Dataset,
-                            DiscretePopulation, FairnessLoss, FairnessSpec,
-                            LinearScorer, accuracy_risk, condition_population,
-                            ddp, deo, mean_fairness_loss, predictions)
+import fairnoise
+from fairnoise.core import (Criterion, Dataset, DiscretePopulation,
+                            FairnessLoss, FairnessSpec, LinearScorer,
+                            accuracy_risk, condition_population, ddp, deo,
+                            mean_fairness_loss, predictions)
 from fairnoise.errors import (EmptyDataset, EmptySlice, PairingWarning,
                               ValidationError)
 
@@ -27,8 +29,8 @@ def dataset_from_rows(rows):
 class TestMeanFairnessLoss:
     def test_constant_positive_scorer_gives_zero_pnp_loss(self):
         data = dataset_from_rows([((0.0,), 0, 0), ((1.0,), 1, 1), ((2.0,), 0, 1)])
-        assert mean_fairness_loss(data, ConstantScorer(1.0), PNP) == 0.0
-        assert mean_fairness_loss(data, ConstantScorer(1.0), PNP, sensitive=0) == 0.0
+        assert mean_fairness_loss(data, LinearScorer([0.0], 1.0), PNP) == 0.0
+        assert mean_fairness_loss(data, LinearScorer([0.0], 1.0), PNP, sensitive=0) == 0.0
 
     def test_quarter_loss_from_direct_count(self):
         # predictions 1,0,1,1 -> one non-positive out of four
@@ -45,18 +47,18 @@ class TestMeanFairnessLoss:
     def test_empty_slice_raises(self):
         data = dataset_from_rows([((0.0,), 0, 0)])
         with pytest.raises(EmptySlice):
-            mean_fairness_loss(data, ConstantScorer(1.0), PNP, sensitive=1)
+            mean_fairness_loss(data, LinearScorer([0.0], 1.0), PNP, sensitive=1)
 
     def test_score_zero_predicts_class_zero(self):
         data = dataset_from_rows([((5.0,), 0, 1)])
-        assert mean_fairness_loss(data, ConstantScorer(0.0), PNP) == 1.0
+        assert mean_fairness_loss(data, LinearScorer([0.0], 0.0), PNP) == 1.0
 
 
 class TestDdp:
     def test_constant_scorer_is_fair(self):
         data = dataset_from_rows([((0.0,), 0, 0), ((0.0,), 1, 1)])
-        assert ddp(data, ConstantScorer(3.0)) == 0.0
-        assert ddp(data, ConstantScorer(-3.0)) == 0.0
+        assert ddp(data, LinearScorer([0.0], 3.0)) == 0.0
+        assert ddp(data, LinearScorer([0.0], -3.0)) == 0.0
 
     def test_rate_gap_half(self):
         # A=0 predicts positive at rate 1/2, A=1 at rate 1
@@ -74,7 +76,7 @@ class TestDdp:
     def test_missing_group_raises(self):
         data = dataset_from_rows([((0.0,), 0, 0), ((1.0,), 0, 1)])
         with pytest.raises(EmptySlice):
-            ddp(data, ConstantScorer(1.0))
+            ddp(data, LinearScorer([0.0], 1.0))
 
 
 class TestDeo:
@@ -95,12 +97,12 @@ class TestDeo:
 
     def test_constant_positive_scorer(self):
         data = dataset_from_rows([((0.0,), 0, 1), ((0.0,), 1, 1)])
-        assert deo(data, ConstantScorer(1.0)) == 0.0
+        assert deo(data, LinearScorer([0.0], 1.0)) == 0.0
 
     def test_missing_positive_group_raises(self):
         data = dataset_from_rows([((0.0,), 0, 1), ((0.0,), 1, 0)])
         with pytest.raises(EmptySlice):
-            deo(data, ConstantScorer(1.0))
+            deo(data, LinearScorer([0.0], 1.0))
 
 
 class TestAccuracyRisk:
@@ -120,7 +122,7 @@ class TestAccuracyRisk:
     def test_empty_dataset(self):
         data = Dataset(np.zeros((0, 2)), [], [])
         with pytest.raises(EmptyDataset):
-            accuracy_risk(data, ConstantScorer(1.0))
+            accuracy_risk(data, LinearScorer(np.zeros(2), 1.0))
 
     def test_large_sample_mean_is_exact(self):
         # 0/1 losses sum exactly, so the mean is the error count over n
@@ -246,9 +248,37 @@ class TestFairnessSpec:
         with pytest.warns(PairingWarning):
             FairnessSpec(Criterion.DEMOGRAPHIC_PARITY, ZO, 0.1)
 
+    def test_eo_accepts_either_loss_silently(self):
+        # on the Y=1 slice a 0-1 error is a non-positive prediction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for loss in (PNP, ZO):
+                assert FairnessSpec(Criterion.EQUAL_OPPORTUNITY, loss,
+                                    0.1).fairness_loss == loss
+
+    def test_loss_must_be_a_fairness_loss(self):
+        with pytest.raises(ValidationError, match="fairness_loss"):
+            FairnessSpec(Criterion.DEMOGRAPHIC_PARITY, "zero_one", 0.1)
+
     def test_negative_tolerance_rejected(self):
         for tolerance in (-0.1, float("nan")):
             with pytest.raises(ValidationError):
                 FairnessSpec(Criterion.DEMOGRAPHIC_PARITY, tolerance=tolerance)
         # +inf means unconstrained
         FairnessSpec(Criterion.DEMOGRAPHIC_PARITY, tolerance=float("inf"))
+
+
+def test_public_names_are_pinned():
+    assert sorted(fairnoise.__all__) == [
+        "CCNNoise", "Criterion", "Dataset", "DiscretePopulation",
+        "EOConditionalNoise", "FairClassifier", "FairnessLoss", "FairnessSpec",
+        "LinearScorer", "MCNoise", "PosteriorModel", "TrainConfig",
+        "TrainingTrace", "accuracy_risk", "ccn_to_mc",
+        "ccn_to_mc_from_corrupted", "condition_population",
+        "conservative_half_tolerance", "core", "corrupt_population", "ddp",
+        "denoise", "denoise_ccn", "deo", "disparity", "dp_epsilon_for_rho",
+        "dp_rho_for_epsilon", "errors", "estimate_ccn_rates",
+        "estimate_eo_rates", "estimation", "fairtrain", "fit_posterior",
+        "inject_ccn", "load_model", "mc_to_eo", "mean_fairness_loss", "noise",
+        "predictions", "reduction_constraint_value", "save_model",
+        "scale_tolerance", "train_fair", "train_fair_noisy"]

@@ -2,6 +2,7 @@
 reduction-constraint conversions and model persistence."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,19 +12,17 @@ from fairnoise._logit import fit_logistic
 from fairnoise.bench import (disparity_synthetic_config, materialize,
                              synth_generate)
 from fairnoise.cli import main
-from fairnoise.core import (ConstantScorer, Criterion, Dataset, FairnessLoss,
-                            FairnessSpec, LinearScorer, accuracy_risk, ddp,
-                            deo, fairness_loss_values, mean_fairness_loss,
+from fairnoise.core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
+                            LinearScorer, accuracy_risk, ddp, deo,
+                            fairness_loss_values, mean_fairness_loss,
                             predictions)
 from fairnoise.errors import (EmptySlice, InfeasibleWarning, NumericalError,
-                              OutOfRangeWeight, PairingWarning,
-                              ValidationError)
+                              PairingWarning, ValidationError)
 from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _FEASIBILITY_SLACK,
                                  _REGULARIZATION, TrainConfig,
                                  _clean_conditionals_from_corrupted,
                                  _criterion_masks, _Reduction,
                                  conservative_half_tolerance, load_model,
-                                 mean_diff_from_reduction,
                                  reduction_constraint_value, save_model,
                                  train_fair, train_fair_noisy)
 from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
@@ -67,6 +66,19 @@ class TestTrainFair:
     def test_eo_criterion_trains(self, synth_data):
         model = train_fair(synth_data, FairnessSpec(EO, tolerance=0.05), FAST)
         assert deo(synth_data, model) <= 0.05 + _FEASIBILITY_SLACK + 0.02
+
+    @pytest.mark.parametrize("tau", [0.0, 0.02, 0.1])
+    def test_eo_losses_train_the_same_model(self, tau):
+        # on the Y=1 slice a 0-1 error is a non-positive prediction
+        data = synth_generate(disparity_synthetic_config(n=800, seed=5))
+        specs = [FairnessSpec(EO, loss, tau) for loss in FairnessLoss]
+        noisy = partial(train_fair_noisy, noise=CCNNoise(0.1, 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InfeasibleWarning)
+            for train in (train_fair, noisy):
+                a, b = (train(data, spec) for spec in specs)
+                assert a.coef.tobytes() == b.coef.tobytes()
+                assert a.intercept == b.intercept
 
     def test_single_group_raises(self):
         data = Dataset(np.random.default_rng(0).normal(0, 1, (30, 2)),
@@ -452,7 +464,8 @@ class TestReductionConstraint:
     def test_constant_scorer(self):
         rng = np.random.default_rng(2)
         data = random_dataset(rng)
-        assert reduction_constraint_value(data, ConstantScorer(1.0)) == 0.0
+        scorer = LinearScorer(np.zeros(data.dimension), 1.0)
+        assert reduction_constraint_value(data, scorer) == 0.0
 
     def test_balanced_groups_half_ddp(self):
         # balanced groups, rates 1/2 and 1 -> ddp 0.5, value 0.25
@@ -507,29 +520,7 @@ class TestReductionConstraint:
     def test_missing_group_raises(self):
         data = Dataset(np.zeros((4, 1)), [0, 0, 0, 0], [0, 1, 0, 1])
         with pytest.raises(EmptySlice):
-            reduction_constraint_value(data, ConstantScorer(1.0))
-
-
-class TestMeanDiffFromReduction:
-    def test_worked_values(self):
-        assert mean_diff_from_reduction(0.25, 0.5) == 0.5
-        assert mean_diff_from_reduction(0.0, 0.7) == 0.0
-
-    def test_round_trip_with_constraint_value(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            data = random_dataset(rng)
-            scorer = random_scorer(rng, data.dimension)
-            pi = data.base_rate()
-            value = reduction_constraint_value(data, scorer)
-            assert mean_diff_from_reduction(value, max(pi, 1 - pi)) == \
-                pytest.approx(ddp(data, scorer), abs=1e-12)
-
-    def test_out_of_range_weight(self):
-        with pytest.raises(OutOfRangeWeight):
-            mean_diff_from_reduction(0.2, 0.4)
-        with pytest.raises(OutOfRangeWeight):
-            mean_diff_from_reduction(0.2, 1.2)
+            reduction_constraint_value(data, LinearScorer([0.0], 1.0))
 
 
 class TestConservativeHalfTolerance:

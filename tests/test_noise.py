@@ -14,8 +14,8 @@ from fairnoise.errors import (DegenerateBaseRate, DegenerateConditional,
 from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
                              ccn_to_mc, ccn_to_mc_from_corrupted,
                              corrupt_population, dp_epsilon_for_rho,
-                             dp_rho_for_epsilon, inject_ccn, inject_pu,
-                             mc_to_eo, scale_tolerance)
+                             dp_rho_for_epsilon, inject_ccn, mc_to_eo,
+                             scale_tolerance)
 
 from _random_cases import random_population, random_scorer
 
@@ -97,20 +97,16 @@ class TestInjectCcn:
 
 
 class TestInjectPu:
+    # censoring (PU) is CCN injection with rho+ = 0
     def test_zero_rate_identity(self):
         data = group_flags_dataset(300, 0.5, 6)
-        out = inject_pu(data, 0.0, 7)
+        out = inject_ccn(data, CCNNoise(0.0, 0.0), 7)
         assert np.array_equal(out.sensitive, data.sensitive)
-
-    def test_matches_ccn_bit_for_bit(self):
-        data = group_flags_dataset(5000, 0.5, 8)
-        assert np.array_equal(inject_pu(data, 0.2, 13).sensitive,
-                              inject_ccn(data, CCNNoise(0.0, 0.2), 13).sensitive)
 
     def test_censoring_orientation(self):
         # the benchmark regime: rho+ = 0, rho- = 0.2; no true A=1 is hidden
         data = group_flags_dataset(20_000, 0.5, 9)
-        out = inject_pu(data, 0.2, 14)
+        out = inject_ccn(data, CCNNoise(0.0, 0.2), 14)
         ones = data.sensitive == 1
         assert np.array_equal(out.sensitive[ones], data.sensitive[ones])
         assert (out.sensitive[~ones] == 1).mean() == pytest.approx(0.2, abs=0.02)
