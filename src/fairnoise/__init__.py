@@ -7,22 +7,26 @@ randomized-response privacy calibration, a relabeling baseline and a
 benchmark harness.
 """
 
-from .core import (Criterion, Dataset, DiscretePopulation, FairnessLoss,
-                   FairnessSpec, LinearScorer, accuracy_risk,
-                   condition_population, ddp, deo, disparity,
+from .core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
+                   LinearScorer, accuracy_risk, ddp, deo, disparity,
                    mean_fairness_loss, predictions)
 from .denoise import denoise_ccn
 from .estimation import (PosteriorModel, estimate_ccn_rates, estimate_eo_rates,
                          fit_posterior)
-from .fairtrain import (FairClassifier, TrainConfig, TrainingTrace,
-                        conservative_half_tolerance, load_model,
-                        reduction_constraint_value, save_model, train_fair,
-                        train_fair_noisy)
+from .fairtrain import (FairClassifier, TrainConfig, TrainingTrace, load_model,
+                        save_model, train_fair, train_fair_noisy)
 from .noise import (CCNNoise, EOConditionalNoise, MCNoise, ccn_to_mc,
-                    ccn_to_mc_from_corrupted, corrupt_population,
-                    dp_epsilon_for_rho, dp_rho_for_epsilon, inject_ccn,
-                    mc_to_eo, scale_tolerance)
+                    ccn_to_mc_from_corrupted, dp_epsilon_for_rho,
+                    dp_rho_for_epsilon, inject_ccn, mc_to_eo, scale_tolerance)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CCNNoise", "Criterion", "Dataset", "EOConditionalNoise", "FairClassifier",
+    "FairnessLoss", "FairnessSpec", "LinearScorer", "MCNoise",
+    "PosteriorModel", "TrainConfig", "TrainingTrace", "accuracy_risk",
+    "ccn_to_mc", "ccn_to_mc_from_corrupted", "ddp", "denoise_ccn", "deo",
+    "disparity", "dp_epsilon_for_rho", "dp_rho_for_epsilon",
+    "estimate_ccn_rates", "estimate_eo_rates", "fit_posterior", "inject_ccn",
+    "load_model", "mc_to_eo", "mean_fairness_loss", "predictions",
+    "save_model", "scale_tolerance", "train_fair", "train_fair_noisy"]

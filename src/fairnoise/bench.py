@@ -1,5 +1,5 @@
-"""Benchmark harness: data ingestion, synthetic generation, exact oracles
-and the nocor / cor / cor_scale / denoise sweep.
+"""Benchmark harness: data ingestion, synthetic generation and the
+nocor / cor / cor_scale / denoise sweep.
 
 Measurement protocol: corruption touches only the training split's
 sensitive attribute; fairness violations and errors are always computed
@@ -18,14 +18,14 @@ from functools import partial
 
 import numpy as np
 
-from .core import (Criterion, Dataset, DiscretePopulation, FairnessLoss,
-                   FairnessSpec, accuracy_risk, disparity)
+from .core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
+                   accuracy_risk, disparity)
 from .denoise import denoise_ccn
 from .errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
                      ParseError, SchemaError, ValidationError)
 from .estimation import estimate_ccn_rates
 from .fairtrain import TrainConfig, train_fair, train_fair_noisy
-from .noise import CCNNoise, inject_ccn, merge_cells
+from .noise import CCNNoise, inject_ccn
 
 METHODS = ("nocor", "cor", "cor_scale", "denoise")
 AGG_COLUMNS = ("method", "tau", "rho_plus_hat", "rho_minus_hat", "split",
@@ -279,34 +279,6 @@ def write_csv(data, path, feature_names=None):
             cols += [map(str, data.sensitive[rows].tolist()),
                      map(str, data.target[rows].tolist())]
             fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
-
-
-# ---------------------------------------------------------------------------
-# Exact oracles
-
-
-def materialize(pop, denominator):
-    """Dataset realising a population whose masses are integer multiples of
-    1/denominator; empirical metrics on it equal population metrics
-    exactly."""
-    counts = np.asarray(pop.mass) * denominator
-    rounded = np.rint(counts)
-    if np.abs(counts - rounded).max() > 1e-6:
-        raise ValidationError(
-            "population masses are not integer multiples of 1/denominator")
-    counts = rounded.astype(int)
-    return Dataset(np.repeat(pop.features, counts, axis=0),
-                   np.repeat(pop.sensitive, counts), np.repeat(pop.target, counts))
-
-
-def mix_populations(pop_a, pop_b, weight_a):
-    """Mixture weight_a * pop_a + (1-weight_a) * pop_b, cells merged."""
-    if not 0.0 <= weight_a <= 1.0:
-        raise ValidationError("weight_a must lie in [0, 1]")
-    return DiscretePopulation(*merge_cells(
-        (pop.features[i], int(pop.sensitive[i]), int(pop.target[i]), w * pop.mass[i])
-        for pop, w in ((pop_a, weight_a), (pop_b, 1.0 - weight_a))
-        for i in range(pop.n_cells)))
 
 
 # ---------------------------------------------------------------------------

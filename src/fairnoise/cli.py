@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error (bad flags or out-of-range
-parameters), 2 data error, 3 numerical failure. All randomness is seeded:
-``corrupt --seed`` and the sweep's ``base_seed`` and ``synth_seed`` config
-keys. Human summaries go to standard output while machine-readable tables
-go to files.
+parameters), 2 data error, 3 numerical failure. A fairnoise warning made
+an error (``python -W error``) exits 1 with its text on one stderr line.
+All randomness is seeded: ``corrupt --seed`` and the sweep's
+``base_seed`` and ``synth_seed`` config keys. Human summaries go to
+standard output while machine-readable tables go to files.
 """
 
 import argparse
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import bench, sweepconfig
 from .core import FairnessSpec, accuracy_risk, ddp, deo, disparity
-from .errors import (DataError, FairnoiseError, NumericalError, SchemaError,
-                     ValidationError)
+from .errors import (DataError, FairnoiseError, FairnoiseWarning,
+                     NumericalError, SchemaError, ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
 from .fairtrain import load_model, save_model, train_fair, train_fair_noisy
 from .noise import (CCNNoise, ccn_to_mc, dp_epsilon_for_rho, dp_rho_for_epsilon,
@@ -304,6 +305,9 @@ def main(argv=None):
     except FairnoiseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except FairnoiseWarning as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except (OSError, UnicodeDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,5 @@
-"""Data model, accuracy risk and mean-difference fairness metrics.
-
-Two data substrates are supported: ``Dataset`` (an empirical sample) and
-``DiscretePopulation`` (an exact finite distribution used as the
-brute-force oracle). Every metric accepts either.
+"""Data model, accuracy risk and mean-difference fairness metrics over an
+empirical sample, the ``Dataset``.
 
 Sign convention: a score strictly greater than 0 predicts class 1; a
 score of exactly 0 predicts class 0.
@@ -109,68 +106,6 @@ class Dataset:
             raise EmptyDataset("operation requires a nonempty dataset")
 
 
-@dataclass(frozen=True)
-class DiscretePopulation:
-    """Exact finite distribution over (features, sensitive, target) cells.
-
-    Cell masses must be nonnegative and sum to 1 within 1e-12. Operations
-    that condition on a slice require that slice to carry positive mass.
-    """
-
-    features: np.ndarray
-    sensitive: np.ndarray
-    target: np.ndarray
-    mass: np.ndarray
-
-    def __init__(self, features, sensitive, target, mass):
-        X = np.array(features, dtype=float)
-        if X.ndim != 2:
-            raise ValidationError("cell features must be a 2-d array")
-        a = _binary_array(sensitive, "sensitive")
-        y = _binary_array(target, "target")
-        m = np.array(mass, dtype=float)
-        if m.ndim != 1 or len(m) != len(X) or len(a) != len(X) or len(y) != len(X):
-            raise ValidationError("cell arrays must have matching lengths")
-        if (m < 0).any():
-            raise ValidationError("cell masses must be nonnegative")
-        if len(m) == 0 or abs(m.sum() - 1.0) > 1e-12:
-            raise ValidationError("cell masses must sum to 1 within 1e-12")
-        X.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "sensitive", a)
-        object.__setattr__(self, "target", y)
-        object.__setattr__(self, "mass", m)
-
-    @property
-    def n_cells(self):
-        return len(self.mass)
-
-    @property
-    def dimension(self):
-        return self.features.shape[1]
-
-    def base_rate(self):
-        return float(self.mass[self.sensitive == 1].sum())
-
-    def target_rate_given_sensitive(self, a):
-        mask = self.sensitive == a
-        denom = float(self.mass[mask].sum())
-        if denom <= 0.0:
-            raise EmptySlice(f"no mass with sensitive={a}")
-        return float(self.mass[mask & (self.target == 1)].sum()) / denom
-
-
-def condition_population(pop, sensitive=None, target=None):
-    """Renormalised sub-population matching the given slice."""
-    mask = _slice_mask(pop.sensitive, pop.target, sensitive, target)
-    total = float(pop.mass[mask].sum())
-    if total <= 0.0:
-        raise EmptySlice(f"slice sensitive={sensitive}, target={target} has no mass")
-    return DiscretePopulation(pop.features[mask], pop.sensitive[mask],
-                              pop.target[mask], pop.mass[mask] / total)
-
-
 class LinearScorer:
     """Score function x -> x . coef + intercept."""
 
@@ -224,7 +159,7 @@ class FairnessSpec:
                 and self.fairness_loss == FairnessLoss.ZERO_ONE):
             warnings.warn(
                 f"non-default pairing of {self.criterion.name} with "
-                f"{self.fairness_loss.name}", PairingWarning, stacklevel=2)
+                f"{self.fairness_loss.name}", PairingWarning, stacklevel=3)
 
 
 def fairness_loss_values(loss, preds, targets):
@@ -245,35 +180,17 @@ def _slice_mask(sensitive, target, a, y):
     return mask
 
 
-def _mean(values, weights=None):
-    # Unweighted values are 0/1 losses, whose sum numpy forms exactly.
-    # Weighted ones are population slices of a few dozen cells, where a
-    # plain sum stays within the 1e-12 tolerances the oracles are held to.
-    values = np.asarray(values, dtype=float)
-    if weights is None:
-        return float(values.mean())
-    weights = np.asarray(weights, dtype=float)
-    return float((values * weights).sum() / weights.sum())
-
-
 def mean_fairness_loss(data, scorer, loss, sensitive=None, target=None):
-    """Mean fairness loss over the (A, Y) slice of a dataset or population.
+    """Mean fairness loss over the (A, Y) slice of a dataset.
 
-    Raises ``EmptySlice`` when the slice holds no examples (or no mass).
+    Raises ``EmptySlice`` when the slice holds no examples.
     """
-    if isinstance(data, Dataset):
-        data._require_nonempty()
-        mask = _slice_mask(data.sensitive, data.target, sensitive, target)
-        if not mask.any():
-            raise EmptySlice(f"slice sensitive={sensitive}, target={target} is empty")
-        preds = predictions(scorer, data.features[mask])
-        return _mean(fairness_loss_values(loss, preds, data.target[mask]))
+    data._require_nonempty()
     mask = _slice_mask(data.sensitive, data.target, sensitive, target)
-    w = data.mass[mask]
-    if float(w.sum()) <= 0.0:
-        raise EmptySlice(f"slice sensitive={sensitive}, target={target} has no mass")
+    if not mask.any():
+        raise EmptySlice(f"slice sensitive={sensitive}, target={target} is empty")
     preds = predictions(scorer, data.features[mask])
-    return _mean(fairness_loss_values(loss, preds, data.target[mask]), w)
+    return float(fairness_loss_values(loss, preds, data.target[mask]).mean())
 
 
 def ddp(data, scorer, loss=FairnessLoss.PREDICT_NONPOSITIVE):
@@ -297,9 +214,6 @@ def disparity(data, scorer, spec):
 
 def accuracy_risk(data, scorer):
     """Mean 0-1 loss of the sign-threshold classifier against the target."""
-    if isinstance(data, Dataset):
-        data._require_nonempty()
-        preds = predictions(scorer, data.features)
-        return _mean((preds != data.target).astype(float))
+    data._require_nonempty()
     preds = predictions(scorer, data.features)
-    return _mean((preds != data.target).astype(float), data.mass)
+    return float((preds != data.target).astype(float).mean())

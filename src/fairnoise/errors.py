@@ -1,7 +1,8 @@
 """Exception and warning types shared across the toolkit.
 
 The CLI maps these onto exit codes: validation errors are usage errors
-(exit 1), data errors are exit 2, numerical failures are exit 3.
+(exit 1), data errors are exit 2, numerical failures are exit 3, and a
+warning made an error (``python -W error``) is exit 1.
 """
 
 
@@ -11,10 +12,6 @@ class FairnoiseError(Exception):
 
 class ValidationError(FairnoiseError, ValueError):
     """An argument violates a documented precondition."""
-
-
-class InvalidBaseRate(ValidationError):
-    pass
 
 
 class NonPositiveEpsilon(ValidationError):

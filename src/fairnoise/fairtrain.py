@@ -37,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._logit import fit_logistic
-from .core import (Criterion, FairnessLoss, FairnessSpec, LinearScorer,
-                   mean_fairness_loss)
+from .core import Criterion, FairnessLoss, LinearScorer
 from .errors import (EmptySlice, InfeasibleWarning, NumericalError,
-                     PairingWarning, ValidationError)
+                     ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
 from .noise import (CCNNoise, EOConditionalNoise, MCNoise,
                     ccn_to_mc_from_corrupted, mc_to_eo, scale_tolerance)
@@ -356,27 +355,18 @@ def _resolve_noise(data, criterion, noise):
 
 
 def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
-                     trainer=None, *, memo=None):
+                     *, memo=None):
     """Noise-aware fair training: scale the tolerance, then train as usual.
 
     ``noise`` may be an ``MCNoise``, ``EOConditionalNoise`` or ``CCNNoise``
     (known rates), or ``None`` to estimate CCN rates from the corrupted
     data. The scaled tolerance and the noise actually used are recorded in
-    the training trace.
-
-    Any downstream fair classifier that accepts a tolerance works as the
-    base method: pass ``trainer(data, spec, config)`` and it is invoked
-    with the spec rescaled to the noise-adjusted tolerance. Without one,
-    ``memo`` shares presolve fits as in ``train_fair``.
+    the training trace; ``memo`` shares presolve fits as in ``train_fair``.
+    Any other fair classifier that takes a tolerance is made noise-aware
+    the same way: train it at ``scale_tolerance(tau, noise)``.
     """
     resolved, rates = _resolve_noise(data_corrupted, spec.criterion, noise)
     tau_prime = scale_tolerance(spec.tolerance, resolved)
-    if trainer is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PairingWarning)
-            scaled_spec = FairnessSpec(spec.criterion, spec.fairness_loss,
-                                       tau_prime)
-        return trainer(data_corrupted, scaled_spec, config)
     if rates is not None:
         noise_used = rates
     elif isinstance(resolved, MCNoise):
@@ -389,28 +379,6 @@ def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
     model.trace.tolerance_scale = 1.0 - resolved.rate_sum
     model.trace.noise_used = noise_used
     return model
-
-
-def reduction_constraint_value(data, scorer, criterion=Criterion.DEMOGRAPHIC_PARITY):
-    """Per-group-vs-overall deviation of the positive-prediction rate,
-    max over groups (the constraint enforced by reduction-style fair
-    classifiers). For equal opportunity the rates are taken on the Y=1
-    slice."""
-    y_cond = None if criterion == Criterion.DEMOGRAPHIC_PARITY else 1
-    loss = FairnessLoss.PREDICT_NONPOSITIVE
-    overall = 1.0 - mean_fairness_loss(data, scorer, loss, target=y_cond)
-    dev = 0.0
-    for a in (0, 1):
-        rate = 1.0 - mean_fairness_loss(data, scorer, loss, sensitive=a,
-                                        target=y_cond)
-        dev = max(dev, abs(rate - overall))
-    return dev
-
-
-def conservative_half_tolerance(tau, noise):
-    """Scaled tolerance halved: sufficient for the clean reduction-style
-    constraint even when corruption shifts the group base rates."""
-    return 0.5 * scale_tolerance(tau, noise)
 
 
 def _fmt(x):

@@ -1,10 +1,9 @@
 """Sensitive-attribute noise: the mutually-contaminated (MC) model and
 its class-conditional (CCN) special case; censoring is CCNNoise(0, rho-).
 
-Provides sample-level injection, exact population-level corruption,
-parameter conversions between the CCN, MC and EO-conditional
-parameterisations, tolerance scaling, and randomized-response
-differential-privacy calibration.
+Provides sample-level injection, parameter conversions between the CCN,
+MC and EO-conditional parameterisations, tolerance scaling, and
+randomized-response differential-privacy calibration.
 
 Injection reproducibility: each injection call owns one
 ``numpy.random.default_rng(seed)`` (PCG64) generator and consumes one
@@ -17,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscretePopulation
-from .errors import (DegenerateBaseRate, DegenerateConditional, EmptySlice,
-                     InvalidBaseRate, NonPositiveEpsilon, OutOfRangeRho,
-                     ValidationError)
+from .errors import (DegenerateBaseRate, DegenerateConditional,
+                     NonPositiveEpsilon, OutOfRangeRho, ValidationError)
 
 
 def _check_rates(a, b, names):
@@ -92,49 +89,6 @@ def inject_ccn(data, noise, seed):
     a = data.sensitive
     flip = np.where(a == 1, u < noise.rho_plus, u < noise.rho_minus)
     return data.with_sensitive(np.where(flip, 1 - a, a))
-
-
-def corrupt_population(pop, noise, target_base_rate):
-    """Exact MC corruption of a discrete population.
-
-    The conditional-on-corrupted-A distributions are the MC mixtures of
-    the clean conditionals and P[A_corr = 1] equals ``target_base_rate``
-    (the MC model leaves the corrupted base rate arbitrary). Cells that
-    coincide after corruption are merged.
-    """
-    if not isinstance(noise, MCNoise):
-        raise ValidationError("noise must be an MCNoise")
-    if not 0.0 < target_base_rate < 1.0:
-        raise InvalidBaseRate("target_base_rate must lie in (0, 1)")
-    m1 = float(pop.mass[pop.sensitive == 1].sum())
-    m0 = float(pop.mass[pop.sensitive == 0].sum())
-    if m1 <= 0.0 or m0 <= 0.0:
-        raise EmptySlice("population must carry positive mass in both groups")
-
-    cond1 = np.where(pop.sensitive == 1, pop.mass / m1, 0.0)
-    cond0 = np.where(pop.sensitive == 0, pop.mass / m0, 0.0)
-    corr1 = (1.0 - noise.alpha) * cond1 + noise.alpha * cond0
-    corr0 = noise.beta * cond1 + (1.0 - noise.beta) * cond0
-
-    feats, a, y, mass = merge_cells(
-        (pop.features[i], a_corr, int(pop.target[i]), group_mass * buckets[i])
-        for buckets, a_corr, group_mass in ((corr1, 1, target_base_rate),
-                                            (corr0, 0, 1.0 - target_base_rate))
-        for i in range(pop.n_cells) if buckets[i] != 0.0)
-    mass = np.array(mass, dtype=float)
-    return DiscretePopulation(feats, a, y, mass / mass.sum())
-
-
-def merge_cells(cells):
-    """Merge (features, sensitive, target, mass) cells that coincide by
-    summing their masses. Cells keep first-seen order and masses are
-    summed in input order. Returns (features, sensitive, target, masses)."""
-    merged = {}
-    for feats, a, y, mass in cells:
-        key = (tuple(feats), a, y)
-        merged[key] = merged.get(key, 0.0) + mass
-    return (np.array([k[0] for k in merged], dtype=float),
-            [k[1] for k in merged], [k[2] for k in merged], list(merged.values()))
 
 
 def ccn_to_mc(noise, pi_a):

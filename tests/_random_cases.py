@@ -4,7 +4,9 @@ suite."""
 import numpy as np
 
 from fairnoise.bench import _parse_csv
-from fairnoise.core import Dataset, DiscretePopulation, LinearScorer
+from fairnoise.core import Dataset, LinearScorer
+
+from _oracles import Population
 
 
 def random_population(rng, max_cells=16, dim=2, require_all_cells=False):
@@ -26,7 +28,7 @@ def random_population(rng, max_cells=16, dim=2, require_all_cells=False):
     mass = rng.random(len(a)) + 0.05
     mass = mass / mass.sum()
     # push the masses onto exact floats that still sum to 1 within 1e-12
-    return DiscretePopulation(feats, a, y, mass / mass.sum())
+    return Population(feats, a, y, mass / mass.sum())
 
 
 def random_dataset(rng, n=None, dim=3):

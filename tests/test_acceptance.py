@@ -14,17 +14,15 @@ from fairnoise._logit import fit_logistic
 from fairnoise.bench import (ExperimentConfig, default_experiment_config,
                              anchor_synthetic_config,
                              disparity_synthetic_config, emit_results,
-                             mix_populations, run_sweep, synth_generate)
+                             run_sweep, synth_generate)
 from fairnoise.core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
-                            LinearScorer, accuracy_risk, condition_population,
-                            ddp, deo)
+                            LinearScorer, accuracy_risk, ddp)
 from fairnoise.estimation import estimate_ccn_rates
-from fairnoise.fairtrain import (_REGULARIZATION, TrainConfig,
-                                 reduction_constraint_value, train_fair)
-from fairnoise.noise import (CCNNoise, MCNoise, ccn_to_mc, corrupt_population,
-                             dp_epsilon_for_rho, dp_rho_for_epsilon,
-                             inject_ccn, mc_to_eo)
+from fairnoise.fairtrain import _REGULARIZATION, TrainConfig, train_fair
+from fairnoise.noise import (CCNNoise, MCNoise, ccn_to_mc, dp_epsilon_for_rho,
+                             dp_rho_for_epsilon, inject_ccn, mc_to_eo)
 
+import _oracles as oracle
 from _random_cases import random_population, random_scorer
 
 
@@ -43,16 +41,16 @@ def test_criterion_1_tolerance_scaling_identity():
         beta = float(rng.random() * (0.95 - alpha))
         noise = MCNoise(alpha, beta)
         target = float(rng.uniform(0.02, 0.98))
-        corr = corrupt_population(pop, noise, target)
+        corr = oracle.corrupt(pop, noise, target)
         scorer = random_scorer(rng, pop.dimension)
         for loss in (FairnessLoss.PREDICT_NONPOSITIVE, FairnessLoss.ZERO_ONE):
-            got = ddp(corr, scorer, loss)
-            want = (1.0 - alpha - beta) * ddp(pop, scorer, loss)
+            got = oracle.ddp(corr, scorer, loss)
+            want = (1.0 - alpha - beta) * oracle.ddp(pop, scorer, loss)
             worst = max(worst, abs(got - want))
         eo = mc_to_eo(noise, pop.target_rate_given_sensitive(1),
                       pop.target_rate_given_sensitive(0))
-        got = deo(corr, scorer)
-        want = (1.0 - eo.alpha_prime - eo.beta_prime) * deo(pop, scorer)
+        got = oracle.deo(corr, scorer)
+        want = (1.0 - eo.alpha_prime - eo.beta_prime) * oracle.deo(pop, scorer)
         worst = max(worst, abs(got - want))
     elapsed = time.time() - start
     report(1, worst <= 1e-12 and elapsed < 5.0,
@@ -60,8 +58,7 @@ def test_criterion_1_tolerance_scaling_identity():
 
 
 def _cells(pop):
-    return {(tuple(pop.features[i]), int(pop.target[i])): pop.mass[i]
-            for i in range(pop.n_cells)}
+    return {(tuple(x), y): m for x, _, y, m in pop.cells()}
 
 
 def test_criterion_2_conditional_corruption_identity():
@@ -73,14 +70,14 @@ def test_criterion_2_conditional_corruption_identity():
         alpha = float(rng.random() * 0.9)
         beta = float(rng.random() * (0.95 - alpha))
         noise = MCNoise(alpha, beta)
-        corr = corrupt_population(pop, noise, float(rng.uniform(0.05, 0.95)))
+        corr = oracle.corrupt(pop, noise, float(rng.uniform(0.05, 0.95)))
         eo = mc_to_eo(noise, pop.target_rate_given_sensitive(1),
                       pop.target_rate_given_sensitive(0))
-        clean11 = condition_population(pop, sensitive=1, target=1)
-        clean01 = condition_population(pop, sensitive=0, target=1)
+        clean11 = oracle.condition(pop, sensitive=1, target=1)
+        clean01 = oracle.condition(pop, sensitive=0, target=1)
         for a_corr, w11 in ((1, 1.0 - eo.alpha_prime), (0, eo.beta_prime)):
-            got = _cells(condition_population(corr, sensitive=a_corr, target=1))
-            want = _cells(mix_populations(clean11, clean01, w11))
+            got = _cells(oracle.condition(corr, sensitive=a_corr, target=1))
+            want = _cells(oracle.mix(clean11, clean01, w11))
             keys = set(got) | set(want)
             for key in keys:
                 worst = max(worst, abs(got.get(key, 0.0) - want.get(key, 0.0)))
@@ -137,7 +134,7 @@ def test_criterion_5_reduction_constraint_identity():
     for _ in range(100):
         data = random_dataset(rng)
         scorer = random_scorer(rng, data.dimension)
-        value = reduction_constraint_value(data, scorer)
+        value = oracle.reduction_constraint_value(data, scorer)
         gap = ddp(data, scorer)
         pi = data.base_rate()
         worst = max(worst, abs(value - max(pi, 1.0 - pi) * gap))

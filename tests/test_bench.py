@@ -1,5 +1,5 @@
-"""Benchmark harness tests: data IO, synthetic generation, oracles and the
-sweep protocol."""
+"""Benchmark harness tests: data IO, synthetic generation, the tests'
+population oracles and the sweep protocol."""
 
 import csv
 import warnings
@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from _random_cases import csv_load_outcome, random_dataset, row_parser_load
 from fairnoise import bench
 from fairnoise._logit import fit_logistic
@@ -17,13 +18,11 @@ from fairnoise.bench import (METHODS, RESULT_COLUMNS, ExperimentConfig,
                              anchor_synthetic_config,
                              default_experiment_config,
                              disparity_synthetic_config, emit_results,
-                             load_csv, materialize, mix_populations,
-                             read_results, run_cell, run_sweep,
+                             load_csv, read_results, run_cell, run_sweep,
                              synth_generate, write_csv, _inject_seed,
                              _load_numeric, _sort_key, _split)
-from fairnoise.core import (Criterion, Dataset, DiscretePopulation,
-                            FairnessSpec, LinearScorer, accuracy_risk, ddp,
-                            deo, disparity)
+from fairnoise.core import (Criterion, Dataset, FairnessSpec, LinearScorer,
+                            accuracy_risk, ddp, disparity)
 from fairnoise.denoise import denoise_ccn
 from fairnoise.errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
                               ParseError, SchemaError, ValidationError)
@@ -287,36 +286,31 @@ class TestSynthGenerate:
 
 class TestOracles:
     def test_uniform_population_constant_scorer(self):
-        pop = DiscretePopulation(np.zeros((4, 1)), [0, 0, 1, 1], [0, 1, 0, 1],
-                                 [0.25] * 4)
+        pop = oracle.Population(np.zeros((4, 1)), [0, 0, 1, 1], [0, 1, 0, 1],
+                                [0.25] * 4)
         scorer = LinearScorer([0.0], 1.0)
-        d, e, r = ddp(pop, scorer), deo(pop, scorer), accuracy_risk(pop, scorer)
-        assert d == 0.0 and e == 0.0
-        assert r == pytest.approx(0.5, abs=1e-15)
+        assert oracle.ddp(pop, scorer) == 0.0 and oracle.deo(pop, scorer) == 0.0
+        assert oracle.accuracy_risk(pop, scorer) == pytest.approx(0.5, abs=1e-15)
 
     def test_two_cell_hand_computed(self):
-        pop = DiscretePopulation(np.array([[1.0], [-1.0]]), [0, 1], [1, 1],
-                                 [0.3, 0.7])
+        pop = oracle.Population([[1.0], [-1.0]], [0, 1], [1, 1], [0.3, 0.7])
         scorer = LinearScorer([1.0])
-        d, e, r = ddp(pop, scorer), deo(pop, scorer), accuracy_risk(pop, scorer)
-        assert d == pytest.approx(1.0, abs=1e-15)  # groups predict 1 vs 0
-        assert e == pytest.approx(1.0, abs=1e-15)
-        assert r == pytest.approx(0.7, abs=1e-15)
+        # groups predict 1 vs 0
+        assert oracle.ddp(pop, scorer) == pytest.approx(1.0, abs=1e-15)
+        assert oracle.deo(pop, scorer) == pytest.approx(1.0, abs=1e-15)
+        assert oracle.accuracy_risk(pop, scorer) == pytest.approx(0.7, abs=1e-15)
 
     def test_materialize_requires_integer_counts(self):
-        pop = DiscretePopulation(np.zeros((2, 1)), [0, 1], [0, 1],
-                                 [1 / 3, 2 / 3])
-        with pytest.raises(ValidationError):
-            materialize(pop, 1000)
-        data = materialize(pop, 9)
+        pop = oracle.Population(np.zeros((2, 1)), [0, 1], [0, 1], [1 / 3, 2 / 3])
+        with pytest.raises(ValueError):
+            oracle.materialize(pop, 1000)
+        data = oracle.materialize(pop, 9)
         assert len(data) == 9 and (data.sensitive == 1).sum() == 6
 
     def test_mix_populations_weights(self):
-        a = DiscretePopulation(np.array([[0.0]]), [0], [0], [1.0])
-        b = DiscretePopulation(np.array([[1.0]]), [1], [1], [1.0])
-        mixed = mix_populations(a, b, 0.25)
-        cells = {(tuple(mixed.features[i]), int(mixed.sensitive[i])):
-                 mixed.mass[i] for i in range(mixed.n_cells)}
+        a = oracle.Population([[0.0]], [0], [0], [1.0])
+        b = oracle.Population([[1.0]], [1], [1], [1.0])
+        cells = {(tuple(x), s): m for x, s, _, m in oracle.mix(a, b, 0.25).cells()}
         assert cells[((0.0,), 0)] == pytest.approx(0.25, abs=1e-15)
         assert cells[((1.0,), 1)] == pytest.approx(0.75, abs=1e-15)
 

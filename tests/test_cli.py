@@ -1,6 +1,7 @@
 """CLI surface tests: subcommand behavior and the exit-code contract."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +579,32 @@ class TestUsageErrors:
 
     def test_unknown_flag(self):
         assert main(["dp-calibrate", "--epsilon", "1.0", "--wat"]) == 1
+
+
+class TestWarningAsError:
+    """Under ``-W error`` a fairnoise warning becomes an exception; the CLI
+    maps it to exit 1 with the warning's text on one stderr line."""
+
+    @staticmethod
+    def exits_1(argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_pairing_warning(self, csv_path, tmp_path, capsys):
+        err = self.exits_1(["train", "--input", str(csv_path), "--tau", "0.1",
+                            "--loss", "zero_one",
+                            "--model-out", str(tmp_path / "m.txt")], capsys)
+        assert err.startswith("PairingWarning: non-default pairing")
+
+    def test_failed_sweep_cell(self, tmp_path, capsys):
+        err = self.exits_1(["sweep", "--set", "synth_n=3", "--set",
+                            "repetitions=1", "--out", str(tmp_path / "r.csv")],
+                           capsys)
+        assert "sweep cell nocor tau=0.02 rep=0 failed" in err
 
 
 class TestJobsEnvVar:

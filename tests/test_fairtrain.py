@@ -9,8 +9,7 @@ import pytest
 
 from fairnoise import fairtrain
 from fairnoise._logit import fit_logistic
-from fairnoise.bench import (disparity_synthetic_config, materialize,
-                             synth_generate)
+from fairnoise.bench import disparity_synthetic_config, synth_generate
 from fairnoise.cli import main
 from fairnoise.core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
                             LinearScorer, accuracy_risk, ddp, deo,
@@ -21,13 +20,12 @@ from fairnoise.errors import (EmptySlice, InfeasibleWarning, NumericalError,
 from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _FEASIBILITY_SLACK,
                                  _REGULARIZATION, TrainConfig,
                                  _clean_conditionals_from_corrupted,
-                                 _criterion_masks, _Reduction,
-                                 conservative_half_tolerance, load_model,
-                                 reduction_constraint_value, save_model,
-                                 train_fair, train_fair_noisy)
-from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
-                             corrupt_population, inject_ccn, scale_tolerance)
+                                 _criterion_masks, _Reduction, load_model,
+                                 save_model, train_fair, train_fair_noisy)
+from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise, inject_ccn,
+                             scale_tolerance)
 
+from _oracles import corrupt, reduction_constraint_value
 from _random_cases import random_dataset, random_population, random_scorer
 
 DP = Criterion.DEMOGRAPHIC_PARITY
@@ -452,7 +450,7 @@ class TestCleanConditionalRecovery:
         for _ in range(20):
             pop = random_population(rng, require_all_cells=True)
             noise = MCNoise(rng.random() * 0.5, rng.random() * 0.4)
-            corr = corrupt_population(pop, noise, float(rng.uniform(0.1, 0.9)))
+            corr = corrupt(pop, noise, float(rng.uniform(0.1, 0.9)))
             q1, q0 = _clean_conditionals_from_corrupted(noise, corr)
             assert q1 == pytest.approx(pop.target_rate_given_sensitive(1),
                                        abs=1e-10)
@@ -511,7 +509,7 @@ class TestReductionConstraint:
                     and ((data.sensitive == 1) & (data.target == 1)).any()):
                 continue
             scorer = random_scorer(rng, data.dimension)
-            value = reduction_constraint_value(data, scorer, criterion=EO)
+            value = reduction_constraint_value(data, scorer, y_cond=1)
             y1 = data.subset(data.target == 1)
             pi = y1.base_rate()
             gap = deo(data, scorer, FairnessLoss.PREDICT_NONPOSITIVE)
@@ -521,24 +519,6 @@ class TestReductionConstraint:
         data = Dataset(np.zeros((4, 1)), [0, 0, 0, 0], [0, 1, 0, 1])
         with pytest.raises(EmptySlice):
             reduction_constraint_value(data, LinearScorer([0.0], 1.0))
-
-
-class TestConservativeHalfTolerance:
-    def test_values(self):
-        assert conservative_half_tolerance(0.2, MCNoise(0.15, 0.15)) == \
-            pytest.approx(0.07, abs=1e-12)
-        assert conservative_half_tolerance(0.3, MCNoise(0.0, 0.0)) == \
-            pytest.approx(0.15, abs=1e-15)
-
-    def test_exactly_half_the_scaled_tolerance(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            a = rng.random() * 0.6
-            b = rng.random() * (0.95 - a)
-            tau = rng.random()
-            noise = MCNoise(a, b)
-            assert conservative_half_tolerance(tau, noise) == \
-                pytest.approx(0.5 * scale_tolerance(tau, noise), abs=1e-15)
 
 
 class TestBalancedGroupEquivalence:
@@ -591,21 +571,6 @@ class TestModelPersistence:
         path.write_text(text)
         with pytest.raises(ValidationError):
             load_model(path)
-
-
-class TestClassifierAgnosticWrapper:
-    def test_custom_trainer_receives_scaled_spec(self, synth_data):
-        seen = {}
-
-        def spy_trainer(data, spec, config):
-            seen["tolerance"] = spec.tolerance
-            return train_fair(data, spec, config)
-
-        spec = FairnessSpec(DP, tolerance=0.2)
-        model = train_fair_noisy(synth_data, spec, MCNoise(0.15, 0.15), FAST,
-                                 trainer=spy_trainer)
-        assert seen["tolerance"] == pytest.approx(0.14, abs=1e-12)
-        assert model.trace.tau == pytest.approx(0.14, abs=1e-12)
 
 
 def _reference_targets_weights(data, loss, m0, m1, nu):

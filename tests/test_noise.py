@@ -1,22 +1,21 @@
-"""Noise model tests: injection, exact corruption, conversions, scaling,
-and the differential-privacy calibration."""
+"""Noise model tests: injection, conversions checked against exact
+corruption, scaling, and the differential-privacy calibration."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fairnoise.core import (Dataset, DiscretePopulation, FairnessLoss,
-                            LinearScorer, condition_population, ddp, deo)
+from fairnoise.core import Dataset, FairnessLoss
 from fairnoise.errors import (DegenerateBaseRate, DegenerateConditional,
-                              EmptySlice, InvalidBaseRate, NonPositiveEpsilon,
-                              OutOfRangeRho, ValidationError)
+                              NonPositiveEpsilon, OutOfRangeRho,
+                              ValidationError)
 from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
                              ccn_to_mc, ccn_to_mc_from_corrupted,
-                             corrupt_population, dp_epsilon_for_rho,
-                             dp_rho_for_epsilon, inject_ccn, mc_to_eo,
-                             scale_tolerance)
+                             dp_epsilon_for_rho, dp_rho_for_epsilon,
+                             inject_ccn, mc_to_eo, scale_tolerance)
 
+import _oracles as oracle
 from _random_cases import random_population, random_scorer
 
 PNP = FairnessLoss.PREDICT_NONPOSITIVE
@@ -113,24 +112,22 @@ class TestInjectPu:
 
 
 def pop_cells(pop):
-    return {(tuple(pop.features[i]), int(pop.sensitive[i]), int(pop.target[i])):
-            pop.mass[i] for i in range(pop.n_cells)}
+    return {(tuple(x), a, y): m for x, a, y, m in pop.cells()}
 
 
 class TestCorruptPopulation:
     def test_identity_corruption(self):
         rng = np.random.default_rng(21)
         pop = random_population(rng)
-        out = corrupt_population(pop, MCNoise(0.0, 0.0), pop.base_rate())
+        out = oracle.corrupt(pop, MCNoise(0.0, 0.0), pop.base_rate())
         got, want = pop_cells(out), pop_cells(pop)
         assert set(got) == set(want)
         for key in want:
             assert got[key] == pytest.approx(want[key], abs=1e-12)
 
     def test_two_cell_hand_expansion(self):
-        pop = DiscretePopulation(np.array([[0.0], [1.0]]), [0, 1], [0, 1],
-                                 [0.4, 0.6])
-        out = corrupt_population(pop, MCNoise(0.3, 0.1), 0.5)
+        pop = oracle.Population([[0.0], [1.0]], [0, 1], [0, 1], [0.4, 0.6])
+        out = oracle.corrupt(pop, MCNoise(0.3, 0.1), 0.5)
         got = pop_cells(out)
         # corrupted A=1 conditional: 0.7 on the old A=1 cell, 0.3 on A=0
         assert got[((1.0,), 1, 1)] == pytest.approx(0.5 * 0.7, abs=1e-12)
@@ -139,17 +136,6 @@ class TestCorruptPopulation:
         assert got[((1.0,), 0, 1)] == pytest.approx(0.5 * 0.1, abs=1e-12)
         assert got[((0.0,), 0, 0)] == pytest.approx(0.5 * 0.9, abs=1e-12)
 
-    def test_bad_base_rate(self):
-        rng = np.random.default_rng(22)
-        pop = random_population(rng)
-        with pytest.raises(InvalidBaseRate):
-            corrupt_population(pop, MCNoise(0.1, 0.1), 1.0)
-
-    def test_single_group_population_rejected(self):
-        pop = DiscretePopulation(np.zeros((2, 1)), [1, 1], [0, 1], [0.5, 0.5])
-        with pytest.raises(EmptySlice):
-            corrupt_population(pop, MCNoise(0.1, 0.1), 0.5)
-
     def test_scaling_identity_for_ddp(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -157,11 +143,12 @@ class TestCorruptPopulation:
             alpha, beta = rng.random() * 0.6, rng.random() * 0.35
             noise = MCNoise(alpha, beta)
             target = float(rng.uniform(0.05, 0.95))
-            corr = corrupt_population(pop, noise, target)
+            corr = oracle.corrupt(pop, noise, target)
             scorer = random_scorer(rng, pop.dimension)
             for loss in (PNP, ZO):
-                assert ddp(corr, scorer, loss) == pytest.approx(
-                    (1.0 - alpha - beta) * ddp(pop, scorer, loss), abs=1e-12)
+                assert oracle.ddp(corr, scorer, loss) == pytest.approx(
+                    (1.0 - alpha - beta) * oracle.ddp(pop, scorer, loss),
+                    abs=1e-12)
 
     def test_eo_scaling_with_converted_rates(self):
         rng = np.random.default_rng(24)
@@ -170,24 +157,23 @@ class TestCorruptPopulation:
             noise = MCNoise(rng.random() * 0.5, rng.random() * 0.4)
             eo = mc_to_eo(noise, pop.target_rate_given_sensitive(1),
                           pop.target_rate_given_sensitive(0))
-            corr = corrupt_population(pop, noise, float(rng.uniform(0.1, 0.9)))
+            corr = oracle.corrupt(pop, noise, float(rng.uniform(0.1, 0.9)))
             scorer = random_scorer(rng, pop.dimension)
-            assert deo(corr, scorer) == pytest.approx(
-                (1.0 - eo.alpha_prime - eo.beta_prime) * deo(pop, scorer),
+            assert oracle.deo(corr, scorer) == pytest.approx(
+                (1.0 - eo.alpha_prime - eo.beta_prime) * oracle.deo(pop, scorer),
                 abs=1e-12)
 
     def test_condition_after_corrupt_matches_eo_mixture(self):
-        from fairnoise.bench import mix_populations
         rng = np.random.default_rng(25)
         pop = random_population(rng, require_all_cells=True)
         noise = MCNoise(0.25, 0.15)
         eo = mc_to_eo(noise, pop.target_rate_given_sensitive(1),
                       pop.target_rate_given_sensitive(0))
-        corr = corrupt_population(pop, noise, 0.45)
-        clean11 = condition_population(pop, sensitive=1, target=1)
-        clean01 = condition_population(pop, sensitive=0, target=1)
-        want = pop_cells(mix_populations(clean11, clean01, 1.0 - eo.alpha_prime))
-        got = pop_cells(condition_population(corr, sensitive=1, target=1))
+        corr = oracle.corrupt(pop, noise, 0.45)
+        clean11 = oracle.condition(pop, sensitive=1, target=1)
+        clean01 = oracle.condition(pop, sensitive=0, target=1)
+        want = pop_cells(oracle.mix(clean11, clean01, 1.0 - eo.alpha_prime))
+        got = pop_cells(oracle.condition(corr, sensitive=1, target=1))
         # conditioned corrupted cells keep the corrupted group label
         got = {(k[0], 1, k[2]): v for k, v in got.items()}
         want = {(k[0], 1, k[2]): v for k, v in want.items()}
@@ -264,18 +250,16 @@ class TestMcToEo:
 
     def test_worked_example_against_population_enumeration(self):
         # four-cell population with P[Y=1|A=1]=0.5, P[Y=1|A=0]=0.25
-        pop = DiscretePopulation(
-            np.array([[0.0], [1.0], [2.0], [3.0]]),
-            [1, 1, 0, 0], [1, 0, 1, 0],
-            [0.25, 0.25, 0.125, 0.375])
+        pop = oracle.Population([[0.0], [1.0], [2.0], [3.0]], [1, 1, 0, 0],
+                                [1, 0, 1, 0], [0.25, 0.25, 0.125, 0.375])
         noise = MCNoise(0.2, 0.0)
-        corr = corrupt_population(pop, noise, 0.5)
-        y1 = condition_population(corr, target=1)
+        corr = oracle.corrupt(pop, noise, 0.5)
+        y1 = oracle.condition(corr, target=1)
         mass_a1 = float(y1.mass[y1.sensitive == 1].sum())
         # inside the corrupted (A=1, Y=1) slice, the clean-A=0 cell (x=2)
         # carries exactly alpha' of the conditional mass
-        a1 = condition_population(corr, sensitive=1, target=1)
-        idx = [i for i in range(a1.n_cells) if a1.features[i][0] == 2.0]
+        a1 = oracle.condition(corr, sensitive=1, target=1)
+        idx = [i for i in range(len(a1.mass)) if a1.features[i][0] == 2.0]
         eo = mc_to_eo(noise, 0.5, 0.25)
         assert a1.mass[idx[0]] == pytest.approx(eo.alpha_prime, abs=1e-12)
         assert mass_a1 > 0
