@@ -8,7 +8,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from fairnoise._logit import fit_logistic
 from fairnoise.bench import (ExperimentConfig, default_experiment_config,

@@ -3,7 +3,7 @@ population oracles and the sweep protocol."""
 
 import csv
 import warnings
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,12 @@ from fairnoise.bench import (METHODS, RESULT_COLUMNS, ExperimentConfig,
                              load_csv, read_results, run_cell, run_sweep,
                              synth_generate, write_csv, _inject_seed,
                              _load_numeric, _sort_key, _split)
-from fairnoise.core import (Criterion, Dataset, FairnessSpec, LinearScorer,
-                            accuracy_risk, ddp, disparity)
+from fairnoise.core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
+                            LinearScorer, accuracy_risk, ddp, disparity)
 from fairnoise.denoise import denoise_ccn
 from fairnoise.errors import (EmptyDataset, FairnoiseError, FairnoiseWarning,
-                              ParseError, SchemaError, ValidationError)
+                              PairingWarning, ParseError, SchemaError,
+                              ValidationError)
 from fairnoise.estimation import estimate_ccn_rates
 from fairnoise.fairtrain import TrainConfig, train_fair, train_fair_noisy
 from fairnoise.noise import CCNNoise, ccn_to_mc_from_corrupted, inject_ccn
@@ -306,6 +307,15 @@ class TestOracles:
             oracle.materialize(pop, 1000)
         data = oracle.materialize(pop, 9)
         assert len(data) == 9 and (data.sensitive == 1).sum() == 6
+
+    def test_condition_renormalises(self):
+        pop = oracle.Population([[0.0], [1.0], [2.0]], [0, 1, 1], [1, 1, 0],
+                                [0.2, 0.3, 0.5])
+        sub = oracle.condition(pop, sensitive=1)
+        assert sub.mass.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(sub.mass, [0.375, 0.625])
+        assert sub.sensitive.tolist() == [1, 1]
+        assert sub.features[:, 0].tolist() == [1.0, 2.0]
 
     def test_mix_populations_weights(self):
         a = oracle.Population([[0.0]], [0], [0], [1.0])
@@ -801,6 +811,16 @@ class TestPerMethodRunner:
         # one estimate per (repetition, noise-consuming method)
         assert calls == {"_load_data": 1, "denoise_ccn": 2,
                          "estimate_ccn_rates": 2 * 2}
+
+    def test_pairing_warning_names_the_cell_line(self):
+        cfg = small_config(methods=("nocor",), repetitions=1,
+                           loss=FairnessLoss.ZERO_ONE)
+        data = synth_generate(cfg.synthetic)
+        with pytest.warns(PairingWarning) as record:
+            run_cell(cfg, data, 0, "nocor")
+        # one warning per tau of the grid, each at run_cell's own line
+        assert len(record) == len(cfg.tau_grid)
+        assert {Path(w.filename) for w in record} == {Path(bench.__file__)}
 
     def test_cell_taus_share_presolve_fits(self, monkeypatch):
         from fairnoise import fairtrain

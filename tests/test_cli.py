@@ -15,9 +15,8 @@ from fairnoise.bench import (anchor_synthetic_config,
                              read_results, synth_generate, write_csv)
 from fairnoise.cli import main
 from fairnoise.core import Dataset
-from fairnoise.errors import ParseError
+from fairnoise.errors import PairingWarning, ParseError
 from fairnoise.fairtrain import FairClassifier, save_model
-from fairnoise.noise import CCNNoise, inject_ccn
 
 
 @pytest.fixture()
@@ -605,6 +604,29 @@ class TestWarningAsError:
                             "repetitions=1", "--out", str(tmp_path / "r.csv")],
                            capsys)
         assert "sweep cell nocor tau=0.02 rep=0 failed" in err
+
+    def test_sweep_pairing_warning(self, tmp_path, capsys):
+        err = self.exits_1(["sweep", "--set", "synth_n=200", "--set",
+                            "repetitions=1", "--set", "loss=zero_one",
+                            "--jobs", "1", "--out", str(tmp_path / "r.csv")],
+                           capsys)
+        assert err.startswith("PairingWarning: non-default pairing")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("noise", [[], ["--rho-plus", "0.1",
+                                            "--rho-minus", "0.1"]],
+                             ids=["clean", "known_rates"])
+    def test_unescalated_warning_names_the_cli_line(self, csv_path, tmp_path,
+                                                    capsys, noise):
+        # without the filter the warning stays a warning: one per training,
+        # attributed to the CLI's own line, and the command succeeds
+        with pytest.warns(PairingWarning) as record:
+            assert main(["train", "--input", str(csv_path), "--tau", "0.1",
+                         "--loss", "zero_one", *noise,
+                         "--model-out", str(tmp_path / "m.txt")]) == 0
+        assert len(record) == 1
+        assert Path(record[0].filename) == Path(cli.__file__)
+        assert (tmp_path / "m.txt").exists()
 
 
 class TestJobsEnvVar:

@@ -1,6 +1,7 @@
 """Metrics and data-model tests."""
 
 import pickle
+import types
 import warnings
 
 import numpy as np
@@ -266,3 +267,12 @@ def test_public_names_are_pinned():
         "fit_posterior", "inject_ccn", "load_model", "mc_to_eo",
         "mean_fairness_loss", "predictions", "save_model", "scale_tolerance",
         "train_fair", "train_fair_noisy"]
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from fairnoise import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(fairnoise.__all__)
+    assert not [name for name, value in namespace.items()
+                if isinstance(value, types.ModuleType)]

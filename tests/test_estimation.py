@@ -1,8 +1,6 @@
 """Noise-rate estimator tests: calibrated posterior and anchor-point
 quantile extrema."""
 
-import warnings
-
 import numpy as np
 import pytest
 
