@@ -15,19 +15,28 @@ best response, not a fixed number of descent steps.
 Kernel contract:
 
 - ``sigmoid`` is branch-free: ``e = exp(-|z|)``, then
-  ``where(z >= 0, 1, e) / (1 + e)``. That is bit-identical to the masked
-  form ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))``
+  ``max(e, z >= 0) / (1 + e)``. The numerator is ``where(z >= 0, 1, e)``
+  without a masked select: ``e`` lies in [0, 1], so the maximum with the
+  mask cast to 0 or 1 is 1 where ``z >= 0`` and ``e`` elsewhere, and
+  ``maximum`` propagates NaN. That is bit-identical to the masked form
+  ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))``
   otherwise, because ``-|z| == z`` exactly for z < 0, and NaN takes the
   second branch in both.
 - Each iteration evaluates one gradient and calls the module-global
   ``sigmoid`` exactly once, looked up by name at call time, so a wrapper
   bound to that name sees every iteration. The line search evaluates the
   loss as ``softplus(s) - t s`` and never calls ``sigmoid``.
-- The length-n buffers (score, trial score, curvature weight, one
-  Hessian column) are allocated once per fit and written with
-  ``out=``; the Hessian is built one feature column at a time, so no
-  (n, d) temporary exists. No state outlives a fit, and the caller's
-  arrays are never written.
+- The length-n buffers (normalised weights, weighted targets, score,
+  trial score, curvature weight, one Hessian column) live in a
+  ``Workspace``, written with ``out=``; the Hessian is built one feature
+  column at a time, so no (n, d) temporary exists. A caller that fits
+  many times on one n, such as a training's presolve, owns one workspace
+  and passes it to every fit; otherwise each fit makes its own. A fit
+  writes every buffer before it reads it, so no value carries from one
+  fit to the next and a fit is bit-identical with or without a reused
+  workspace. On return the workspace's ``score`` holds the returned
+  fit's score, bitwise ``X @ coef + intercept``. The caller's arrays are
+  never written.
 - Finite input never raises. A singular Hessian (a zero, constant or
   duplicated column at ``reg = 0``), or a nearly singular one whose
   solve is not finite, gets the least-squares, minimum-norm Newton step.
@@ -49,11 +58,28 @@ _ARMIJO = 1e-4
 _HALVINGS = 40
 
 
+class Workspace:
+    """Length-n float buffers for any number of fits on an n-row design.
+
+    ``fit_logistic`` writes the first six; ``targets`` and ``weights`` are
+    the caller's, to gather a fit's inputs into without allocating, and a
+    fit only reads them.
+    """
+
+    __slots__ = ("n", "wn", "wt", "score", "trial", "h", "col", "targets",
+                 "weights")
+
+    def __init__(self, n):
+        self.n = n
+        (self.wn, self.wt, self.score, self.trial, self.h, self.col,
+         self.targets, self.weights) = (np.empty(n) for _ in range(8))
+
+
 def sigmoid(z):
     e = np.abs(z, dtype=float)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    p = np.where(z >= 0, 1.0, e)
+    p = np.maximum(e, z >= 0)
     np.add(e, 1.0, out=e)
     p /= e
     return p
@@ -61,21 +87,26 @@ def sigmoid(z):
 
 @np.errstate(over="ignore", invalid="ignore")
 def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
-                 coef0=None, intercept0=0.0):
+                 coef0=None, intercept0=0.0, workspace=None):
     """Minimise sum_i w_i * CE(sigmoid(x_i.w + b), t_i) / sum(w) + reg/2 ||w||^2.
 
     The intercept is not penalised. Stops once the gradient norm is at
     most ``tol``, after ``max_iter`` gradient evaluations, or when the line
     search finds no decrease. Returns (coef, intercept, n_iter, grad_norm):
     ``n_iter`` counts gradient evaluations and ``grad_norm`` is the norm of
-    the last one (inf when ``max_iter`` is 0).
+    the last one (inf when ``max_iter`` is 0). ``workspace``, a
+    ``Workspace`` of ``len(X)`` rows, holds the buffers; a workspace of
+    another length is a ``ValueError``.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    wn = np.asarray(weights, dtype=float)
-    wn = wn / wn.sum()
+    ws = Workspace(n) if workspace is None else workspace
+    if ws.n != n:
+        raise ValueError(f"a workspace of {ws.n} rows cannot fit {n} rows")
+    w = np.asarray(weights, dtype=float)
+    wn = np.divide(w, w.sum(), out=ws.wn)
     t = np.asarray(targets, dtype=float)
-    wt = wn * t
+    wt = np.multiply(wn, t, out=ws.wt)
     z = np.zeros(d + 1)
     if coef0 is not None:
         z[:d] = coef0
@@ -83,7 +114,7 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
     coef = z[:d]
 
     XT = X.T
-    score, trial, h, col = (np.empty(n) for _ in range(4))
+    score, trial, h, col = ws.score, ws.trial, ws.h, ws.col
     g = np.empty(d + 1)
     H = np.empty((d + 1, d + 1))
 
@@ -157,6 +188,7 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
         v, f = accepted
         z[:] = v
         score, trial = trial, score
+    ws.score, ws.trial = score, trial
     gnorm = math.sqrt(g @ g) if it else np.inf
     return z[:d], float(z[d]), it, gnorm
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._logit import fit_logistic
+from ._logit import Workspace, fit_logistic
 from .core import Criterion, FairnessLoss, LinearScorer
 from .errors import (EmptySlice, InfeasibleWarning, NumericalError,
                      ValidationError)
@@ -140,7 +140,8 @@ class _Reduction:
     Every row falls in one of six cells, coded ``2 * class + y`` with class
     0 outside both slices, 1 in slice 0 and 2 in slice 1. A best response
     weights and targets rows by cell alone, so each fit builds a 6-entry
-    weight and target table and gathers it through the row code;
+    weight and target table and gathers it through the row code into
+    the training's one ``Workspace``, which every fit reuses;
     ``violation`` counts the 0-1 fairness losses directly.
     """
 
@@ -157,6 +158,7 @@ class _Reduction:
         cls[m0] = 1
         cls[m1] = 2
         self.code = 2 * cls + data.target
+        self.ws = Workspace(self.n)
         self.memo = {} if memo is None else memo
         self.key = root
 
@@ -174,10 +176,15 @@ class _Reduction:
             push_label = np.where(c > 0, y, 1.0 - y)
         u = 1.0 / self.n + push
         t = (y / self.n + push * push_label) / u
+        ws = self.ws
+        # the codes are 0..5, so clipping is a no-op; the default mode
+        # would buffer a length-n copy
+        np.take(t, self.code, out=ws.targets, mode="clip")
+        np.take(u, self.code, out=ws.weights, mode="clip")
         self.coef, self.intercept, _, gnorm = fit_logistic(
-            self.X, t[self.code], u[self.code],
+            self.X, ws.targets, ws.weights,
             reg=_REGULARIZATION, max_iter=iters,
-            coef0=self.coef, intercept0=self.intercept)
+            coef0=self.coef, intercept0=self.intercept, workspace=ws)
         if not math.isfinite(gnorm):
             # the features overflow the fit: the result is no best response
             raise NumericalError(
@@ -197,15 +204,17 @@ class _Reduction:
         if fit is None:
             self.best_response(nu, iters)
             fit = self.memo[self.key] = (self.coef, self.intercept,
-                                         self.violation())
+                                         self.violation(self.ws.score))
         else:
             self.coef, self.intercept = fit[0], fit[1]
         return fit[2]
 
-    def violation(self):
-        """Signed 0-1 violation of the current fit: slice-0 minus slice-1
-        mean fairness loss."""
-        pos = (self.X @ self.coef + self.intercept) > 0
+    def violation(self, score):
+        """Signed 0-1 violation of the training scores ``score``: slice-0
+        minus slice-1 mean fairness loss. Right after a best response,
+        ``ws.score`` holds the fit's own final score, bitwise
+        ``X @ coef + intercept``, so the trainer counts from it."""
+        pos = score > 0
         bad = (~pos if self.loss == FairnessLoss.PREDICT_NONPOSITIVE
                else pos != self.positive)
         return (np.count_nonzero(bad & self.m0) / self.n0
@@ -267,7 +276,7 @@ def _train(data, criterion, loss, tau, config, memo=None):
     for t in range(T):
         coefs[t], intercepts[t] = red.best_response(lam_p - lam_m,
                                                     config.base_iterations)
-        v = viols[t] = red.violation()
+        v = viols[t] = red.violation(red.ws.score)
         eta = _EG_STEP / np.sqrt(t + 1.0)
         lam_p = min(_DUAL_BOUND, lam_p * np.exp(eta * (v - tau_int)))
         lam_m = min(_DUAL_BOUND, lam_m * np.exp(eta * (-v - tau_int)))
@@ -342,10 +351,10 @@ def _resolve_noise(data, criterion, noise):
     if isinstance(noise, CCNNoise):
         # CCN flips are independent of Y, so the Y=1 slice is CCN with the
         # same rates; its MC weights are exactly (alpha', beta').
-        y1 = data.subset(data.target == 1)
-        if len(y1) == 0:
+        a_y1 = data.sensitive[data.target == 1]
+        if len(a_y1) == 0:
             raise EmptySlice("Y=1 slice is empty")
-        mc, _ = ccn_to_mc_from_corrupted(noise, y1.base_rate())
+        mc, _ = ccn_to_mc_from_corrupted(noise, float(a_y1.mean()))
         return (EOConditionalNoise(mc.alpha, mc.beta),
                 (noise.rho_plus, noise.rho_minus))
     if isinstance(noise, MCNoise):

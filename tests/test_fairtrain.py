@@ -1,6 +1,7 @@
 """Constrained-trainer tests: boundary behavior, the noise-aware wrapper,
 reduction-constraint conversions and model persistence."""
 
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -20,9 +21,11 @@ from fairnoise.errors import (EmptySlice, InfeasibleWarning, NumericalError,
 from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _FEASIBILITY_SLACK,
                                  _REGULARIZATION, TrainConfig,
                                  _clean_conditionals_from_corrupted,
-                                 _criterion_masks, _Reduction, load_model,
-                                 save_model, train_fair, train_fair_noisy)
-from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise, inject_ccn,
+                                 _criterion_masks, _Reduction, _resolve_noise,
+                                 load_model, save_model, train_fair,
+                                 train_fair_noisy)
+from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
+                             ccn_to_mc_from_corrupted, inject_ccn,
                              scale_tolerance)
 
 from _oracles import corrupt, reduction_constraint_value
@@ -402,12 +405,30 @@ class TestTrainFairNoisy:
         corrupted = inject_ccn(synth_data, CCNNoise(0.15, 0.15), 5)
         spec = FairnessSpec(DP, tolerance=0.2)
         model = train_fair_noisy(corrupted, spec, CCNNoise(0.15, 0.15), FAST)
-        from fairnoise.noise import ccn_to_mc_from_corrupted
         mc, _ = ccn_to_mc_from_corrupted(CCNNoise(0.15, 0.15),
                                          corrupted.base_rate())
         assert model.trace.tau == pytest.approx(
             scale_tolerance(0.2, mc), abs=1e-12)
         assert model.trace.noise_used == (0.15, 0.15)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eo_ccn_rates_resolved_on_the_y1_slice(self, seed):
+        # bit for bit the base rate of the Y=1 subset, without building it
+        data = synth_generate(disparity_synthetic_config(n=1001, seed=seed))
+        noise = CCNNoise(0.15, 0.1)
+        corrupted = inject_ccn(data, noise, seed)
+        resolved, rates = _resolve_noise(corrupted, EO, noise)
+        y1 = corrupted.subset(corrupted.target == 1)
+        mc, _ = ccn_to_mc_from_corrupted(noise, y1.base_rate())
+        assert resolved == EOConditionalNoise(mc.alpha, mc.beta)
+        assert rates == (0.15, 0.1)
+
+    def test_eo_ccn_without_positives_raises(self):
+        data = Dataset(np.random.default_rng(2).normal(0, 1, (20, 2)),
+                       [0, 1] * 10, [0] * 20)
+        with pytest.raises(EmptySlice, match="Y=1 slice is empty"):
+            train_fair_noisy(data, FairnessSpec(EO, tolerance=0.1),
+                             CCNNoise(0.1, 0.1), FAST)
 
     def test_eo_conditional_noise_scaling(self, synth_data):
         spec = FairnessSpec(EO, tolerance=0.2)
@@ -631,14 +652,28 @@ class TestReductionBitIdentity:
             t_ref, u_ref = _reference_targets_weights(data, loss, m0, m1, nu)
             assert t.dtype == t_ref.dtype and t.tobytes() == t_ref.tobytes()
             assert u.dtype == u_ref.dtype and u.tobytes() == u_ref.tobytes()
-            assert red.violation() == _reference_violation(
+            assert red.violation(red.ws.score) == _reference_violation(
                 data, loss, m0, m1, red.coef, red.intercept)
         assert len(seen) == len(self.NUS)
         for _ in range(5):
-            red.coef = rng.normal(0.0, 1.0, 3)
-            red.intercept = float(rng.normal(0.0, 0.5))
-            assert red.violation() == _reference_violation(
-                data, loss, m0, m1, red.coef, red.intercept)
+            coef = rng.normal(0.0, 1.0, 3)
+            intercept = float(rng.normal(0.0, 0.5))
+            score = data.features @ coef + intercept
+            assert red.violation(score) == _reference_violation(
+                data, loss, m0, m1, coef, intercept)
+
+    @pytest.mark.parametrize("criterion", [DP, EO])
+    @pytest.mark.parametrize("loss", list(FairnessLoss))
+    def test_violation_from_the_fit_score(self, criterion, loss):
+        # the fit's own final score is bitwise X @ coef + intercept, so the
+        # violation counted from it is the recomputed one
+        data = synth_generate(disparity_synthetic_config(n=2000, seed=3))
+        red = _Reduction(data, loss, *_criterion_masks(data, criterion))
+        for nu, iters in ((0.0, 120), (2.0, 3), (-1.5, 120), (0.25, 1)):
+            red.best_response(nu, iters)
+            score = data.features @ red.coef + red.intercept
+            assert red.ws.score.tobytes() == score.tobytes()
+            assert red.violation(red.ws.score) == red.violation(score)
 
     def test_default_sweep_bytes_do_not_depend_on_jobs(self, tmp_path):
         outs = []
@@ -651,3 +686,26 @@ class TestReductionBitIdentity:
         for name in ("results.csv", "results_agg.csv"):
             assert ((outs[0].parent / name).read_bytes()
                     == (outs[1].parent / name).read_bytes())
+
+
+def test_warm_best_response_allocates_under_four_columns():
+    # The training's workspace holds every length-n buffer of a fit; what
+    # a warm best response and its violation still allocate is sigmoid's
+    # temporaries next to the previous iteration's residual, about 3.6
+    # float columns at this n (11.2 when each fit made its own buffers).
+    # tracemalloc counts bytes requested, so the bound is deterministic.
+    data = synth_generate(disparity_synthetic_config(n=20000, seed=5))
+    n = len(data)
+    red = _Reduction(data, FairnessLoss.ZERO_ONE,
+                     *_criterion_masks(data, EO))
+    red.best_response(0.0, 120)
+    red.violation(red.ws.score)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        red.best_response(0.5, 120)
+        red.violation(red.ws.score)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 4 * 8 * n

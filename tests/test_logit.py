@@ -8,9 +8,10 @@ norm within its tolerance, and never raise or warn on finite input.
 
 ``_unbuffered_fit`` is the solver's own arithmetic written without its
 buffers: fresh arrays every iteration, no ``out=`` writes, no swapped
-score arrays. The solver must match it bit for bit: the sweep output is
-compared byte for byte across changes, so a last-digit drift from the
-buffering is a numerics change.
+score arrays. The solver must match it bit for bit, with its own
+buffers or with a caller's ``Workspace`` reused across fits: the sweep
+output is compared byte for byte across changes, so a last-digit drift
+from the buffering is a numerics change.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from fairnoise import _logit
-from fairnoise._logit import fit_logistic, sigmoid
+from fairnoise._logit import Workspace, fit_logistic, sigmoid
 
 
 def _masked_sigmoid(z):
@@ -306,11 +307,19 @@ class TestFitLogistic:
 
     def test_no_state_between_fits(self):
         X, targets, weights, coef0 = _problem(300, 4, seed=4)
+        other = _problem(300, 4, seed=40)
+        ws = Workspace(300)
         for case in (dict(), dict(tol=1e-3), dict(reg=0.0, max_iter=3)):
             first = fit_logistic(X, targets, weights, coef0=coef0, **case)
             second = fit_logistic(X, targets, weights, coef0=coef0, **case)
             _assert_same_fit(first, second)
             assert not np.shares_memory(first[0], second[0])
+            # a workspace another problem's fit has just filled
+            fit_logistic(*other[:3], coef0=other[3], workspace=ws, **case)
+            reused = fit_logistic(X, targets, weights, coef0=coef0,
+                                  workspace=ws, **case)
+            _assert_same_fit(reused, first)
+            assert not np.shares_memory(reused[0], first[0])
 
     def test_one_sigmoid_call_per_gradient(self, monkeypatch):
         calls = []
@@ -324,6 +333,58 @@ class TestFitLogistic:
         _, _, n_iter, _ = fit_logistic(X, targets, weights)
         assert n_iter >= 3
         assert calls == [(20,)] * n_iter
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("n", [1, 7, 3200])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_bit_equal_without_fresh_and_reused(self, n, d):
+        # one workspace carried through every case, cold and warm, in turn
+        X, targets, weights, coef0 = _problem(n, d, seed=10 * n + d)
+        ws = Workspace(n)
+        for case in FIT_CASES:
+            for start in (dict(), dict(coef0=coef0, intercept0=-0.25)):
+                kwargs = dict(case, **start)
+                want = _unbuffered_fit(X, targets, weights, **kwargs)
+                for workspace in (None, Workspace(n), ws):
+                    got = _fit_quietly(X, targets, weights,
+                                       workspace=workspace, **kwargs)
+                    _assert_same_fit(got, want)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 200])
+    @pytest.mark.parametrize("tol", [0.0, 1e-8])
+    def test_score_is_the_returned_fit_score(self, max_iter, tol):
+        # whichever buffer the last accepted step wrote, and also when the
+        # fit takes no step: at the cap of 0, or started at the optimum
+        X, targets, weights, coef0 = _problem(200, 3, seed=0)
+        opt = _fit_quietly(X, targets, weights, reg=1e-3)
+        ws = Workspace(200)
+        for start in (dict(), dict(coef0=coef0, intercept0=0.5),
+                      dict(coef0=opt[0], intercept0=opt[1])):
+            coef, b, _, _ = _fit_quietly(X, targets, weights, reg=1e-3,
+                                         tol=tol, max_iter=max_iter,
+                                         workspace=ws, **start)
+            assert ws.score.tobytes() == (X @ coef + b).tobytes()
+
+    def test_caller_slots_not_written(self):
+        X, _, _, coef0 = _problem(50, 3, seed=3)
+        ws = Workspace(50)
+        rng = np.random.default_rng(3)
+        ws.targets[:] = rng.uniform(size=50)
+        ws.weights[:] = rng.uniform(0.1, 2.0, size=50)
+        saved = [a.copy() for a in (X, ws.targets, ws.weights, coef0)]
+        got = fit_logistic(X, ws.targets, ws.weights, coef0=coef0,
+                           workspace=ws)
+        for before, after in zip(saved, (X, ws.targets, ws.weights, coef0)):
+            assert before.tobytes() == after.tobytes()
+        _assert_same_fit(got, fit_logistic(X, saved[1], saved[2],
+                                           coef0=coef0))
+
+    @pytest.mark.parametrize("rows", [49, 51])
+    def test_workspace_of_another_length_refused(self, rows):
+        X, targets, weights, _ = _problem(50, 3, seed=3)
+        with pytest.raises(ValueError, match=f"workspace of {rows} rows"):
+            fit_logistic(X, targets, weights, workspace=Workspace(rows))
 
 
 def _duplicated_column(rng):
