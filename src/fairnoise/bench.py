@@ -12,7 +12,6 @@ import csv
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -142,13 +141,16 @@ def load_csv(path, drop_missing=False):
 
 def _load_numeric(path):
     """The dataset in ``path`` parsed by ``np.loadtxt`` from the open
-    file, or None unless the file is plain: a valid header line without
-    quotes, then UTF-8 lines of finite numbers, one per column, with 0/1
-    `sensitive` and `label` cells, and no bare ``\\r``.
+    file, or None unless the file is plain: a valid header line, quoted
+    names allowed, then UTF-8 lines of finite numbers, one per column,
+    with 0/1 `sensitive` and `label` cells, and no bare ``\\r``.
 
     On a plain file both parsers give the same floats, bit for bit, since
     both round correctly. ``loadtxt`` skips empty lines, which
-    ``_parse_csv`` rejects, so it must return one row per line.
+    ``_parse_csv`` rejects, so it must return one row per line. The header
+    is read by the ``csv`` module, as ``_parse_csv`` reads it; a quoted
+    name that spans lines leaves its closing quote for ``loadtxt``, which
+    cannot parse it, so such a file falls back.
     """
     with open(path, "rb") as fh:
         newlines = crs = crlfs = 0
@@ -162,7 +164,7 @@ def _load_numeric(path):
         fh.seek(0)
         head = fh.readline()
         # a bare \r ends a row for the csv module but not for loadtxt
-        if crs != crlfs or b'"' in head or lines < 2:
+        if crs != crlfs or lines < 2:
             return None
         try:
             header = [h.strip() for h in next(csv.reader([head.decode()]))]
@@ -334,6 +336,12 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "rho_hat_grid",
                            tuple((float(p), float(m)) for p, m in self.rho_hat_grid))
+        # a repeated entry would repeat its rows and skew the aggregates
+        for name in ("methods", "tau_grid", "rho_hat_grid"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValidationError(f"{name} lists {repeated[0]!r} twice")
 
 
 @dataclass(frozen=True)
@@ -391,25 +399,26 @@ def _rate_pairs(config, corrupted_train):
     return list(config.rho_hat_grid)
 
 
-def run_cell(config, data, rep, method):
-    """All rows of one (repetition, method) sweep cell, over the tau grid.
+def run_cell(config, data, rep):
+    """All rows of one sweep repetition, method by method over the tau grid.
 
-    Only the tolerance depends on tau, so the split, the injection, the
-    rate estimate and each denoised training set are built once here;
-    then every tau trains and is evaluated. The trainings on one training
-    set share a presolve memo: cor_scale trains every rho-hat pair on the
-    corrupted set, so its memo lives for the cell, while each denoised set
-    has its own, dropped when its tau loop ends. The models are those of
-    separate trainings, bit for bit. A failed training leaves
-    empty rows for its tau, a failed rate estimate or denoise for every
-    tau it feeds; each failure warns once with the reason. Deterministic.
+    The split, the injection and the rate pairs are built once, each
+    denoised set once per pair. One presolve memo serves the trainings on
+    the clean and the corrupted split, since its keys are rooted at the
+    dataset object: cor and cor_scale share fits. Each denoised set has
+    its own memo, dropped when its tau loop ends. The models are those of
+    separate trainings, bit for bit. A failed training leaves empty rows
+    for its tau, a failed denoise or rate estimate for every tau it feeds;
+    each failure warns with the reason, once for each method it hits.
     """
     train_clean, test_clean, seed = _split(data, config, rep)
+    corrupted = inject_ccn(train_clean, CCNNoise(config.rho_plus, config.rho_minus),
+                           _inject_seed(config, rep))
     specs = [FairnessSpec(config.criterion, config.loss, tau)
              for tau in config.tau_grid]
-    rows = []
+    rows, memo = [], {}
 
-    def add_rows(spec, pair, tau_prime=None, model=None):
+    def add_rows(method, spec, pair, tau_prime=None, model=None):
         rows.extend([ResultRow(
             method, spec.tolerance, tau_prime, *(pair or (None, None)), name,
             None if model is None else disparity(split, model, spec),
@@ -417,62 +426,62 @@ def run_cell(config, data, rep, method):
             seed, rep) for name, split in (("train", train_clean),
                                            ("test", test_clean))])
 
-    def fail(what, exc, pair, failed_specs, tau_prime=None):
+    def fail(method, what, exc, pair, failed_specs, tau_prime=None):
         warnings.warn(f"sweep cell {method} {what} rep={rep} failed: {exc}",
                       FairnoiseWarning, stacklevel=2)
         for spec in failed_specs:
-            add_rows(spec, pair, tau_prime)
+            add_rows(method, spec, pair, tau_prime)
 
-    train_set, pairs = train_clean, [None]
-    if method != "nocor":
-        train_set = inject_ccn(train_clean,
-                               CCNNoise(config.rho_plus, config.rho_minus),
-                               _inject_seed(config, rep))
-    if method in ("cor_scale", "denoise"):
-        try:
-            pairs = _rate_pairs(config, train_set)
-        except FairnoiseError as exc:
-            fail("rate estimate", exc, None, specs)
-            return rows
-    memo = {}
-    for pair in pairs:
-        fit_set = train_set
-        if method == "denoise":
-            try:
-                fit_set = denoise_ccn(train_set, CCNNoise(*pair))
-            except FairnoiseError as exc:
-                fail(f"rho_hat={pair}", exc, pair, specs)
-                continue
-            memo = {}
-        for spec in specs:
-            tau_prime = None
-            try:
-                if method == "cor_scale":
-                    model = train_fair_noisy(fit_set, spec, CCNNoise(*pair),
-                                             config.train, memo=memo)
-                    tau_prime = model.trace.tau
-                else:
-                    model = train_fair(fit_set, spec, config.train, memo=memo)
-                add_rows(spec, pair, tau_prime, model)
-            except FairnoiseError as exc:
-                fail(f"tau={spec.tolerance}", exc, pair, [spec], tau_prime)
+    try:
+        rates = (_rate_pairs(config, corrupted)
+                 if {"cor_scale", "denoise"} & set(config.methods) else None)
+    except FairnoiseError as exc:
+        rates = exc
+    for method in config.methods:
+        train_set = train_clean if method == "nocor" else corrupted
+        pairs = rates if method in ("cor_scale", "denoise") else [None]
+        if isinstance(pairs, FairnoiseError):
+            fail(method, "rate estimate", pairs, None, specs)
+            continue
+        for pair in pairs:
+            fit_set, fit_memo = train_set, memo
+            if method == "denoise":
+                try:
+                    fit_set, fit_memo = denoise_ccn(train_set, CCNNoise(*pair)), {}
+                except FairnoiseError as exc:
+                    fail(method, f"rho_hat={pair}", exc, pair, specs)
+                    continue
+            for spec in specs:
+                tau_prime = None
+                try:
+                    if method == "cor_scale":
+                        model = train_fair_noisy(fit_set, spec, CCNNoise(*pair),
+                                                 config.train, memo=fit_memo)
+                        tau_prime = model.trace.tau
+                    else:
+                        model = train_fair(fit_set, spec, config.train,
+                                           memo=fit_memo)
+                    add_rows(method, spec, pair, tau_prime, model)
+                except FairnoiseError as exc:
+                    fail(method, f"tau={spec.tolerance}", exc, pair, [spec],
+                         tau_prime)
     return rows
 
 
 def run_sweep(config, jobs=1):
-    """Run every (repetition, method) cell and return the result rows.
+    """Run every repetition and return the rows, in repetition order.
 
-    The data is loaded once. Cells are independent given their derived
-    seeds; ``jobs`` > 1 runs them in worker processes. Identical configs
-    yield identical rows.
+    The data is loaded once. Repetitions are independent given their
+    derived seeds; with ``jobs`` > 1, several run as one task each in up
+    to ``jobs`` worker processes. Identical configs yield identical rows.
     """
-    data = _load_data(config)
-    tasks = zip(*[(config, data, rep, method) for rep in range(config.repetitions)
-                  for method in config.methods])
-    if jobs <= 1:
-        return [row for chunk in map(run_cell, *tasks) for row in chunk]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [row for chunk in pool.map(run_cell, *tasks) for row in chunk]
+    run = partial(run_cell, config, _load_data(config))
+    reps = range(config.repetitions)
+    if min(jobs, len(reps)) <= 1:
+        return [row for chunk in map(run, reps) for row in chunk]
+    from concurrent.futures import ProcessPoolExecutor  # 12 ms of a CLI start
+    with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
+        return [row for chunk in pool.map(run, reps) for row in chunk]
 
 
 def _fmt_cell(value):

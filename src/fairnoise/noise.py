@@ -79,6 +79,13 @@ def inject_ccn(data, noise, seed):
     """Flip each example's sensitive bit independently at the CCN rates.
 
     Features and targets are untouched; deterministic given the seed.
+    Row i flips when ``default_rng(seed).random(len(data))[i]`` is below
+    its rate. ``bench.synth_generate`` picks row i's (A, Y) cell from the
+    same uniform of the same seed, so injecting into an unshuffled sample
+    with the seed it was drawn with ties the flips to the cells and they
+    are not independent: on ``anchor_synthetic_config(n=20000, seed=3)``
+    at 0.15/0.15 and seed 3 no A=1 row flips, and ``estimate_ccn_rates``
+    reads (0.0, 0.016). Use another seed.
     """
     if not isinstance(noise, CCNNoise):
         raise ValidationError("noise must be a CCNNoise")

@@ -227,6 +227,9 @@ class TestCsvFastPath:
         got = csv_load_outcome(load_csv, p, drop_missing)
         assert got == csv_load_outcome(row_parser_load, p, drop_missing)
         assert got[:2] == (("raises", raised) if raised else ("ok", got[1]))
+        if case == "quoted_header":
+            # the csv module reads the header, so quotes keep the fast path
+            assert _load_numeric(p) is not None
 
 
 class TestSynthGenerate:
@@ -437,6 +440,31 @@ class TestRunSweep:
         key = lambda r: (r.method, r.tau, r.repetition, r.split)
         assert sorted(seq, key=key) == sorted(par, key=key)
 
+    def test_one_repetition_runs_in_process(self, monkeypatch):
+        # one task gains nothing from a worker pool, so none is started
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        cfg = small_config(tau_grid=(0.1,), repetitions=1)
+        assert run_sweep(cfg, jobs=4) == run_sweep(cfg, jobs=1)
+
+
+# each sweep list with one entry repeated, equal only after float
+# conversion where the field holds floats, and the repeat reported
+DUPLICATES = {
+    "methods": (("nocor", "cor", "nocor"), "'nocor'"),
+    "tau_grid": ((1, 0.5, 1.0), "1.0"),
+    "rho_hat_grid": (((0.1, 0.1), (0.1, 0.2), (0.1, 1e-1)), "(0.1, 0.1)"),
+}
+
+
+class TestDuplicateEntries:
+    @pytest.mark.parametrize("field", sorted(DUPLICATES))
+    def test_config_rejects_a_repeat(self, field):
+        values, repeated = DUPLICATES[field]
+        with pytest.raises(ValidationError) as info:
+            small_config(**{field: values})
+        assert str(info.value) == f"{field} lists {repeated} twice"
+
 
 class TestEmitResults:
     def test_schema_and_round_trip(self, tmp_path):
@@ -632,7 +660,7 @@ class TestCsvDataSource:
 # ``config.estimator`` to ``denoise_ccn``, which ranks rows by raw posterior
 # scores that no estimator setting reaches, so the argument was removed.
 # It rebuilt the data, the split, the injection, the rate estimate and the
-# denoised set for every tau; the per-(repetition, method) runner must give
+# denoised set for every tau; the per-repetition runner must give
 # the same rows.
 
 
@@ -788,7 +816,8 @@ class TestPerMethodRunner:
 
     def test_tau_independent_work_runs_once(self, monkeypatch):
         from fairnoise import bench
-        calls = {"_load_data": 0, "denoise_ccn": 0, "estimate_ccn_rates": 0}
+        calls = dict.fromkeys(("_load_data", "_split", "inject_ccn",
+                               "denoise_ccn", "estimate_ccn_rates"), 0)
 
         def counting(name):
             original = getattr(bench, name)
@@ -802,22 +831,24 @@ class TestPerMethodRunner:
             monkeypatch.setattr(bench, name, counting(name))
         cfg = small_config(methods=METHODS, **NOISE_MODES["rho_hat_sweep"])
         _quiet(run_sweep, cfg)
-        assert calls == {"_load_data": 1, "denoise_ccn": 2 * 2,
-                         "estimate_ccn_rates": 0}
+        # per repetition: one split and one injection for all four methods,
+        # one denoise per rho-hat pair
+        assert calls == {"_load_data": 1, "_split": 2, "inject_ccn": 2,
+                         "denoise_ccn": 2 * 2, "estimate_ccn_rates": 0}
         for name in calls:
             calls[name] = 0
         cfg = small_config(methods=METHODS, **NOISE_MODES["estimate"])
         _quiet(run_sweep, cfg)
-        # one estimate per (repetition, noise-consuming method)
-        assert calls == {"_load_data": 1, "denoise_ccn": 2,
-                         "estimate_ccn_rates": 2 * 2}
+        # one estimate per repetition, shared by cor_scale and denoise
+        assert calls == {"_load_data": 1, "_split": 2, "inject_ccn": 2,
+                         "denoise_ccn": 2, "estimate_ccn_rates": 2}
 
     def test_pairing_warning_names_the_cell_line(self):
         cfg = small_config(methods=("nocor",), repetitions=1,
                            loss=FairnessLoss.ZERO_ONE)
         data = synth_generate(cfg.synthetic)
         with pytest.warns(PairingWarning) as record:
-            run_cell(cfg, data, 0, "nocor")
+            run_cell(cfg, data, 0)
         # one warning per tau of the grid, each at run_cell's own line
         assert len(record) == len(cfg.tau_grid)
         assert {Path(w.filename) for w in record} == {Path(bench.__file__)}
@@ -831,15 +862,16 @@ class TestPerMethodRunner:
             return fit_logistic(*args, **kwargs)
 
         monkeypatch.setattr(fairtrain, "fit_logistic", counting_fit)
-        cfg = small_config(tau_grid=(0.02, 0.05, 0.1, 0.15, 0.2),
+        cfg = small_config(methods=("cor",), tau_grid=(0.02, 0.05, 0.1, 0.15, 0.2),
                            repetitions=1, train=TrainConfig())
         data = synth_generate(cfg.synthetic)
         shared = []
         for _ in range(2):
             fits.clear()
-            rows = run_cell(cfg, data, 0, "cor")
+            rows = run_cell(cfg, data, 0)
             shared.append(len(fits))
-        # a second cell fits as much as the first: no memo outlives a cell
+        # a second call fits as much as the first: no memo outlives a
+        # repetition
         assert shared[0] == shared[1]
 
         def train_alone(data, spec, config, memo):
@@ -847,50 +879,67 @@ class TestPerMethodRunner:
 
         monkeypatch.setattr(bench, "train_fair", train_alone)
         fits.clear()
-        assert run_cell(cfg, data, 0, "cor") == rows
+        assert run_cell(cfg, data, 0) == rows
         assert shared[0] < len(fits)
 
-    def test_cor_scale_pairs_share_one_memo(self, monkeypatch):
-        # cor_scale trains every rho-hat pair on the one corrupted set, so
-        # one memo serves the cell; each denoised set gets its own
+    def test_cor_and_cor_scale_share_one_memo(self, monkeypatch):
+        # cor and every cor_scale pair train on the one corrupted set, and
+        # nocor on the clean split: one memo serves them all, its keys
+        # rooted at the dataset object; each denoised set gets its own
         from fairnoise import fairtrain
-        fits, memos = [], []
+        fits, calls = [], []
 
         def counting_fit(*args, **kwargs):
             fits.append(1)
             return fit_logistic(*args, **kwargs)
 
         def recording(train):
-            def wrapper(*args, memo, **kwargs):
-                memos.append(memo)
-                return train(*args, memo=memo, **kwargs)
+            def wrapper(data, *args, memo, **kwargs):
+                calls.append((data, memo))
+                return train(data, *args, memo=memo, **kwargs)
             return wrapper
 
         monkeypatch.setattr(fairtrain, "fit_logistic", counting_fit)
         for name in ("train_fair", "train_fair_noisy"):
             monkeypatch.setattr(bench, name, recording(getattr(bench, name)))
         grid = ((0.1, 0.1), (0.15, 0.15), (0.2, 0.2))
-        cfg = small_config(tau_grid=(0.02, 0.05, 0.1, 0.15, 0.2),
+        cfg = small_config(methods=METHODS, tau_grid=(0.02, 0.05, 0.1, 0.15, 0.2),
                            repetitions=1, train=TrainConfig(),
                            noise_mode="rho_hat_sweep", rho_hat_grid=grid)
         data = synth_generate(cfg.synthetic)
-        rows = run_cell(cfg, data, 0, "cor_scale")
+        rows = run_cell(cfg, data, 0)
         shared = len(fits)
-        assert len(memos) == 3 * 5 and len({id(m) for m in memos}) == 1
-        memos.clear()
-        run_cell(cfg, data, 0, "denoise")
-        assert len(memos) == 3 * 5 and len({id(m) for m in memos}) == 3
+        # calls run in method order: nocor 5, cor 5, cor_scale 3 x 5,
+        # then denoise 3 x 5
+        assert len(calls) == 5 + 5 + 15 + 15
+        nocor, cor, scale, den = (calls[:5], calls[5:10], calls[10:25],
+                                  calls[25:])
+        (clean, memo), corrupted = nocor[0], cor[0][0]
+        assert clean is not corrupted
+        assert all(d is clean and m is memo for d, m in nocor)
+        assert all(d is corrupted and m is memo for d, m in cor + scale)
+        # each denoised set trains its 5 taus on a memo of its own
+        groups = [den[i:i + 5] for i in (0, 5, 10)]
+        assert all(len({(id(d), id(m)) for d, m in g}) == 1 for g in groups)
+        assert len({id(g[0][1]) for g in groups} | {id(memo)}) == 4
 
-        per_pair = {}
+        # as when each method had its own memo: nocor, cor and each
+        # denoised set one per dataset, cor_scale one for its pairs
+        own = {}
 
-        def train_per_pair(data, spec, noise, config, memo):
-            memo = per_pair.setdefault((noise.rho_plus, noise.rho_minus), {})
-            return train_fair_noisy(data, spec, noise, config, memo=memo)
+        def train_own(data, spec, config, memo):
+            return train_fair(data, spec, config,
+                              memo=own.setdefault(data, {}))
 
-        monkeypatch.setattr(bench, "train_fair_noisy", train_per_pair)
+        def train_noisy_own(data, spec, noise, config, memo):
+            return train_fair_noisy(data, spec, noise, config,
+                                    memo=own.setdefault("cor_scale", {}))
+
+        monkeypatch.setattr(bench, "train_fair", train_own)
+        monkeypatch.setattr(bench, "train_fair_noisy", train_noisy_own)
         fits.clear()
-        assert run_cell(cfg, data, 0, "cor_scale") == rows
-        assert len(per_pair) == 3 and shared < len(fits)
+        assert run_cell(cfg, data, 0) == rows
+        assert len(own) == 2 + 3 + 1 and shared < len(fits)
 
     def test_failed_rate_estimate_leaves_empty_rows(self, tmp_path):
         p = tmp_path / "d.csv"

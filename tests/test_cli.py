@@ -1,6 +1,9 @@
 """CLI surface tests: subcommand behavior and the exit-code contract."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -458,6 +461,18 @@ class TestSweep:
         assert (tmp_path / "results_agg.csv").exists()
         assert "test violation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("setting", [
+        "methods=nocor,nocor", "tau_grid=0.05,5e-2",
+        "rho_hat_grid=0.1:0.1,0.1:1e-1"])
+    def test_duplicate_entry_is_a_usage_error(self, tmp_path, capsys,
+                                              setting):
+        out = tmp_path / "results.csv"
+        rc = main(["sweep", "--set", "repetitions=2", "--set", setting,
+                   "--out", str(out)])
+        assert rc == 1
+        assert "twice" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_collinear_design_sweeps_without_warning(self, tmp_path):
         # A constant column copies the intercept and the last column copies
@@ -630,6 +645,16 @@ class TestWarningAsError:
 
 
 class TestJobsEnvVar:
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool is imported by a sweep with --jobs > 1, not by the CLI
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, fairnoise.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "False\n"
+
     def test_fairnoise_jobs_sets_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FAIRNOISE_JOBS", "2")
         out = tmp_path / "r.csv"
