@@ -5,12 +5,14 @@ denoiser. Targets may be soft (in [0, 1]); example weights must be
 nonnegative. The dimension is small (a handful of features plus the
 intercept), so each iteration forms the (d+1)x(d+1) Hessian
 ``X~^T diag(w p (1 - p)) X~ + reg`` (``X~`` is ``X`` with an intercept
-column) and solves it exactly; a backtracking (Armijo) line search on the
-weighted cross-entropy makes every accepted step decrease the objective.
-A cold fit reaches a gradient norm of 1e-8 in under ten iterations, and
-a warm start already within a rounding error of the optimum stops at its
-first gradient, before the loss is ever evaluated; so a fit is an exact
-best response, not a fixed number of descent steps.
+column) and solves it exactly. Away from the optimum a backtracking
+(Armijo) line search on the weighted cross-entropy makes every accepted
+step decrease the objective; near it, in the quadratic regime, the full
+Newton step is taken unchecked (Boyd and Vandenberghe, Convex
+Optimization, 9.5). A cold fit reaches a gradient norm of 1e-8 in under
+ten iterations, and a warm start already within a rounding error of the
+optimum stops at its first gradient; so a fit is an exact best response,
+not a fixed number of descent steps.
 
 Kernel contract:
 
@@ -24,10 +26,21 @@ Kernel contract:
   second branch in both.
 - Each iteration evaluates one gradient and calls the module-global
   ``sigmoid`` exactly once, looked up by name at call time, so a wrapper
-  bound to that name sees every iteration. The line search evaluates the
-  loss as ``softplus(s) - t s`` and never calls ``sigmoid``.
+  bound to that name sees every iteration. The curvature weights
+  ``w p (1 - p)`` are built only after the gradient check, when a Newton
+  step follows it.
+- A Newton step whose decrement ``-g . step`` is positive and at most
+  ``_FULL_STEP`` is taken in full without evaluating the loss, while
+  each such step shrinks the gradient norm. Wherever measured, the line
+  search accepted those steps at its first trial, so they are the same
+  steps bit for bit; at the loss's rounding floor, where the line search
+  finds no decrease, the full step still reaches a gradient norm under
+  1e-8. Other steps are line-searched on the loss ``softplus(s) - t s``,
+  evaluated when first needed and without ``sigmoid``. A fit whose line
+  search finds no decrease stops, so even ``tol = 0`` ends before
+  ``max_iter``.
 - The length-n buffers (normalised weights, weighted targets, score,
-  trial score, curvature weight, one Hessian column) live in a
+  trial score, curvature weight, one residual or Hessian column) live in a
   ``Workspace``, written with ``out=``; the Hessian is built one feature
   column at a time, so no (n, d) temporary exists. A caller that fits
   many times on one n, such as a training's presolve, owns one workspace
@@ -56,6 +69,7 @@ import numpy as np
 
 _ARMIJO = 1e-4
 _HALVINGS = 40
+_FULL_STEP = 1e-4  # the largest Newton decrement of an unchecked full step
 
 
 class Workspace:
@@ -150,20 +164,22 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
     np.matmul(X, coef, out=score)
     score += z[d]
     f = None  # the loss at z, first evaluated when a line search needs it
+    g_full = np.inf  # the gradient norm before the last unchecked full step
     it = 0
     for it in range(1, max_iter + 1):
-        r = sigmoid(score)
-        np.subtract(1.0, r, out=h)
-        h *= r
-        h *= wn
-        r -= t
-        r *= wn
-        np.matmul(XT, r, out=g[:d])
+        p = sigmoid(score)
+        np.subtract(p, t, out=col)
+        col *= wn
+        np.matmul(XT, col, out=g[:d])
         g[:d] += reg * coef
-        g[d] = r.sum()
-        if math.sqrt(g @ g) <= tol:
+        g[d] = col.sum()
+        gnorm = math.sqrt(g @ g)
+        if gnorm <= tol:
             break
 
+        np.subtract(1.0, p, out=h)
+        h *= p
+        h *= wn
         for j in range(d):
             np.multiply(X[:, j], h, out=col)
             np.matmul(XT, col, out=H[j, :d])
@@ -179,6 +195,13 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
             if not np.isfinite(H).all():
                 break  # the curvature overflows: no step to take, stay put
             step = np.linalg.lstsq(H, -g, rcond=None)[0]
+        if 0.0 < -float(g @ step) <= _FULL_STEP and gnorm < g_full:
+            # the quadratic regime: the full step, unchecked
+            z += step
+            np.matmul(X, coef, out=score)
+            score += z[d]
+            f, g_full = None, gnorm
+            continue
         if f is None:
             f = loss(score, z)
         accepted = (line_search(step, f, trial)
@@ -189,6 +212,5 @@ def fit_logistic(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
         z[:] = v
         score, trial = trial, score
     ws.score, ws.trial = score, trial
-    gnorm = math.sqrt(g @ g) if it else np.inf
-    return z[:d], float(z[d]), it, gnorm
+    return z[:d], float(z[d]), it, gnorm if it else np.inf
 

@@ -162,15 +162,6 @@ class FairnessSpec:
                 f"{self.fairness_loss.name}", PairingWarning, stacklevel=3)
 
 
-def fairness_loss_values(loss, preds, targets):
-    """Per-example fairness-loss values in {0.0, 1.0}."""
-    if loss == FairnessLoss.PREDICT_NONPOSITIVE:
-        return 1.0 - preds.astype(float)
-    if loss == FairnessLoss.ZERO_ONE:
-        return (preds != targets).astype(float)
-    raise ValidationError(f"unknown fairness loss {loss!r}")
-
-
 def _slice_mask(sensitive, target, a, y):
     mask = np.ones(len(sensitive), dtype=bool)
     if a is not None:
@@ -180,29 +171,47 @@ def _slice_mask(sensitive, target, a, y):
     return mask
 
 
+def _slice_means(data, scorer, loss, slices):
+    """Mean fairness loss over each (A, Y) slice in ``slices``: every row
+    is scored once and each slice's losses are counted with boolean masks.
+
+    Raises ``EmptySlice`` for the first slice that holds no examples.
+    """
+    data._require_nonempty()
+    masks = [_slice_mask(data.sensitive, data.target, a, y) for a, y in slices]
+    counts = [np.count_nonzero(mask) for mask in masks]
+    for (a, y), count in zip(slices, counts):
+        if not count:
+            raise EmptySlice(f"slice sensitive={a}, target={y} is empty")
+    pos = np.asarray(scorer.scores(data.features)) > 0
+    if loss == FairnessLoss.PREDICT_NONPOSITIVE:
+        bad = ~pos
+    elif loss == FairnessLoss.ZERO_ONE:
+        bad = pos != data.target
+    else:
+        raise ValidationError(f"unknown fairness loss {loss!r}")
+    return [float(np.count_nonzero(bad & mask) / count)
+            for mask, count in zip(masks, counts)]
+
+
 def mean_fairness_loss(data, scorer, loss, sensitive=None, target=None):
     """Mean fairness loss over the (A, Y) slice of a dataset.
 
     Raises ``EmptySlice`` when the slice holds no examples.
     """
-    data._require_nonempty()
-    mask = _slice_mask(data.sensitive, data.target, sensitive, target)
-    if not mask.any():
-        raise EmptySlice(f"slice sensitive={sensitive}, target={target} is empty")
-    preds = predictions(scorer, data.features[mask])
-    return float(fairness_loss_values(loss, preds, data.target[mask]).mean())
+    return _slice_means(data, scorer, loss, [(sensitive, target)])[0]
 
 
 def ddp(data, scorer, loss=FairnessLoss.PREDICT_NONPOSITIVE):
     """Disparity of demographic parity: |mean loss at A=0 - mean loss at A=1|."""
-    return abs(mean_fairness_loss(data, scorer, loss, sensitive=0)
-               - mean_fairness_loss(data, scorer, loss, sensitive=1))
+    m0, m1 = _slice_means(data, scorer, loss, [(0, None), (1, None)])
+    return abs(m0 - m1)
 
 
 def deo(data, scorer, loss=FairnessLoss.ZERO_ONE):
     """Disparity of equality of opportunity: group loss gap on the Y=1 slice."""
-    return abs(mean_fairness_loss(data, scorer, loss, sensitive=0, target=1)
-               - mean_fairness_loss(data, scorer, loss, sensitive=1, target=1))
+    m0, m1 = _slice_means(data, scorer, loss, [(0, 1), (1, 1)])
+    return abs(m0 - m1)
 
 
 def disparity(data, scorer, spec):
@@ -214,6 +223,4 @@ def disparity(data, scorer, spec):
 
 def accuracy_risk(data, scorer):
     """Mean 0-1 loss of the sign-threshold classifier against the target."""
-    data._require_nonempty()
-    preds = predictions(scorer, data.features)
-    return float((preds != data.target).astype(float).mean())
+    return mean_fairness_loss(data, scorer, FairnessLoss.ZERO_ONE)

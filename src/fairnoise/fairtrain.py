@@ -12,16 +12,20 @@ feasibility use exact 0-1 counts.
 A bisection presolve on the net dual finds the constraint boundary, at an
 internal tolerance shrunk by a small margin that absorbs the
 boundary-riding generalization gap: a doubling search brackets it in
-[0, hi], then a fixed number of halvings (18 by default) narrows the
-bracket to hi * 2**-18. Each halving step starts from the chord midpoint
-of the fits at its bracket ends, so a deep step converges at its first
-gradient. A default training returns the one best response at the
-bracket's feasible end. Each presolve step is an exact fit that depends
-only on the data, criterion, loss, its dual and its warm start, which
-the path of earlier accept/reject decisions fixes; so trainings that
-differ only in tolerance walk one bisection tree until their decisions
-split, and given a caller-owned memo they fit each shared step once and
-reuse it bit for bit.
+[0, hi], then halvings narrow the bracket to a width of hi * 2**-18 (by
+default). Once the fits at the bracket ends predict differently on one
+counted row only, the violation jumps where that row's score crosses
+zero, and a safeguarded secant (after Dowell and Jarratt, BIT 1971)
+places two steps that width apart around the interpolated crossing;
+when they do not close the bracket, the halving resumes. Each step
+starts from the fits at the bracket ends interpolated in the dual, so a
+deep step converges at its first gradient. A default training returns
+the one best response at the bracket's feasible end. Each presolve step
+is an exact fit that depends only on the data, criterion, loss, its dual
+and its warm start, which the path of earlier accept/reject decisions
+fixes; so trainings that differ only in tolerance walk one bisection
+tree until their decisions split, and given a caller-owned memo they fit
+each shared step once and reuse it bit for bit.
 
 With ``outer_iterations > 1`` the duals are then updated by capped
 multiplicative exponentiated gradient on the signed 0-1 violation minus
@@ -32,6 +36,7 @@ little, so it is off by default.
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +72,13 @@ class TrainConfig:
     exact. ``base_iterations`` (each fit after the presolve) and
     ``presolve_base_iterations`` (each presolve step; four times that for
     the unconstrained start) only cap the Newton iterations of one fit; a
-    cold one needs under ten, a chord-started bisection step one to three.
-    ``presolve_iterations`` is the bisection depth: the returned dual is
-    within ``hi * 2**-presolve_iterations`` of the boundary, where ``hi``
-    is the doubling bracket's top: the first of 1, 2, 4, ... whose fit is
-    feasible, capped at the dual bound. Training is deterministic.
+    cold one needs under ten, an interpolation-started presolve step one
+    to three. ``presolve_iterations`` sets a width rule: the returned dual
+    is within ``hi * 2**-presolve_iterations`` of the boundary, where
+    ``hi`` is the doubling bracket's top: the first of 1, 2, 4, ... whose
+    fit is feasible, capped at the dual bound. The bracket narrows by at
+    most that many halvings plus the secant's two steps, so by at most
+    ``presolve_iterations + 2`` fits. Training is deterministic.
     """
 
     outer_iterations: int = 1
@@ -158,6 +165,7 @@ class _Reduction:
         cls[m0] = 1
         cls[m1] = 2
         self.code = 2 * cls + data.target
+        self.counted = cls > 0  # the rows whose losses the violation counts
         self.ws = Workspace(self.n)
         self.memo = {} if memo is None else memo
         self.key = root
@@ -194,19 +202,22 @@ class _Reduction:
 
     def presolve_step(self, nu, iters):
         """Best response at ``nu`` warm-started from the current fit, and
-        its violation. A fit depends only on the data, criterion and loss
-        (the root key), ``nu``, ``iters`` and the warm start, which the
-        chain of earlier steps fixes; so the memo keys each step by
-        ``(parent key, nu, iters)`` and a hit restores the fit in place of
-        running it. A failed fit raises before it is stored."""
+        its violation; ``pos`` is left holding its training predictions. A
+        fit depends only on the data, criterion and loss (the root key),
+        ``nu``, ``iters`` and the warm start, which the chain of earlier
+        steps fixes; so the memo keys each step by ``(parent key, nu,
+        iters)`` and a hit restores the fit in place of running it. A
+        failed fit raises before it is stored."""
         self.key = (self.key, nu, iters)
         fit = self.memo.get(self.key)
         if fit is None:
             self.best_response(nu, iters)
+            self.pos = self.ws.score > 0
             fit = self.memo[self.key] = (self.coef, self.intercept,
-                                         self.violation(self.ws.score))
+                                         self._violation(self.pos))
         else:
             self.coef, self.intercept = fit[0], fit[1]
+            self.pos = self.X @ self.coef + self.intercept > 0
         return fit[2]
 
     def violation(self, score):
@@ -214,48 +225,106 @@ class _Reduction:
         minus slice-1 mean fairness loss. Right after a best response,
         ``ws.score`` holds the fit's own final score, bitwise
         ``X @ coef + intercept``, so the trainer counts from it."""
-        pos = score > 0
+        return self._violation(score > 0)
+
+    def _violation(self, pos):
         bad = (~pos if self.loss == FairnessLoss.PREDICT_NONPOSITIVE
                else pos != self.positive)
         return (np.count_nonzero(bad & self.m0) / self.n0
                 - np.count_nonzero(bad & self.m1) / self.n1)
 
 
+# A presolve fit at a bracket end: its dual magnitude, its fit and its
+# training predictions.
+_End = namedtuple("_End", "nu coef intercept pos")
+
+
+def _warm_start(nu, ends):
+    """The fit at ``nu`` interpolated in the dual through the fits of
+    ``ends``, at distinct duals: the chord through two, the quadratic
+    through three."""
+    coef = intercept = 0.0
+    for a in ends:
+        w = math.prod((nu - b.nu) / (a.nu - b.nu) for b in ends if b is not a)
+        coef, intercept = coef + w * a.coef, intercept + w * a.intercept
+    return coef, intercept
+
+
+def _secant_probes(red, lo, hi, width):
+    """The duals of a secant attempt, or None until the fits at the
+    bracket ends ``lo`` and ``hi`` predict differently on exactly one row
+    the violation counts. Then the violation jumps where that row's score
+    crosses zero: interpolated linearly in the dual between the ends and
+    rounded to a multiple of ``width / 64``, that crossing ``nu_s`` gives
+    the probes ``nu_s + width / 2`` (feasible if the estimate holds) and
+    ``nu_s - width / 2``. The rounding keeps the probes, their distance
+    and every later midpoint exact in floating point."""
+    flips = lo.pos != hi.pos
+    flips &= red.counted
+    if np.count_nonzero(flips) != 1:
+        return None
+    x = red.X[np.argmax(flips)]
+    s_lo, s_hi = (float(x @ end.coef) + end.intercept for end in (lo, hi))
+    if s_lo == s_hi:  # recomputed, the scores agree: no crossing to place
+        return []
+    grid = width / 64.0
+    nu_s = round((lo.nu + (hi.nu - lo.nu) * s_lo / (s_lo - s_hi)) / grid)
+    return [(nu_s + 32) * grid, (nu_s - 32) * grid]
+
+
 def _presolve(red, tau_int, config):
     """Bisection on the net dual pressure to the constraint boundary.
 
-    The doubling steps start from the previous fit; each bisection step
-    starts from the chord midpoint of the fits at the bracket ends, which
-    is O(width^2) from its answer because the fit is smooth in the dual.
-    The fit at the bracket's upper end is left as the warm start of the
-    final best response, which a converged fit at the returned dual ends
-    at its first gradient.
+    The doubling steps start from the previous fit. Then one midpoint per
+    level narrows the bracket toward ``width = hi *
+    2**-presolve_iterations`` until one secant attempt can start
+    (``_secant_probes``); its two steps usually close the bracket, else
+    the halving resumes, so at most ``presolve_iterations + 2`` steps
+    follow the doubling. A step starts from the fit interpolated at its
+    dual through the bracket ends and the end replaced last (the chord
+    until an end has been replaced), O(width^3) from its answer because
+    the fit is smooth in the dual. The fit at the upper end is left as
+    the warm start of the final best response, which a converged fit at
+    the returned dual ends at its first gradient.
     """
-    v0 = red.presolve_step(0.0, 4 * config.presolve_base_iterations)
+    iters = config.presolve_base_iterations
+    v0 = red.presolve_step(0.0, 4 * iters)
     if abs(v0) <= tau_int:
         return 0.0
-    lo_fit = red.coef, red.intercept
+    lo = _End(0.0, red.coef, red.intercept, red.pos)
     sgn = 1.0 if v0 > 0 else -1.0
-    hi = 1.0
-    while hi < _DUAL_BOUND:
-        v = red.presolve_step(sgn * hi, config.presolve_base_iterations)
+    top = 1.0
+    while top < _DUAL_BOUND:
+        v = red.presolve_step(sgn * top, iters)
         if sgn * v <= tau_int:
             break
-        hi *= 2.0
-    hi_fit = red.coef, red.intercept
-    hi = min(hi, _DUAL_BOUND)
-    lo = 0.0
-    for _ in range(config.presolve_iterations):
-        mid = 0.5 * (lo + hi)
-        red.coef = 0.5 * (lo_fit[0] + hi_fit[0])
-        red.intercept = 0.5 * (lo_fit[1] + hi_fit[1])
-        v = red.presolve_step(sgn * mid, config.presolve_base_iterations)
-        if sgn * v <= tau_int:
-            hi, hi_fit = mid, (red.coef, red.intercept)
+        top *= 2.0
+    hi = _End(min(top, _DUAL_BOUND), red.coef, red.intercept, red.pos)
+    width = hi.nu * 2.0 ** -config.presolve_iterations
+    old = probes = None  # the end replaced last; the secant's duals
+    levels = 0
+    while hi.nu - lo.nu > width:
+        if probes is None:
+            probes = _secant_probes(red, lo, hi, width)
+        if probes:
+            nu = probes.pop(0)
+        elif levels < config.presolve_iterations:
+            nu = 0.5 * (lo.nu + hi.nu)
+            levels += 1
         else:
-            lo, lo_fit = mid, (red.coef, red.intercept)
-    red.coef, red.intercept = hi_fit
-    return sgn * hi
+            break
+        if not lo.nu < nu < hi.nu:
+            continue  # a probe outside the bracket, or a rounded midpoint
+        red.coef, red.intercept = _warm_start(
+            nu, (lo, hi) if old is None else (lo, hi, old))
+        v = red.presolve_step(sgn * nu, iters)
+        end = _End(nu, red.coef, red.intercept, red.pos)
+        if sgn * v <= tau_int:  # the replaced end keeps no predictions
+            old, hi = hi._replace(pos=None), end
+        else:
+            old, lo = lo._replace(pos=None), end
+    red.coef, red.intercept = hi.coef, hi.intercept
+    return sgn * hi.nu
 
 
 def _train(data, criterion, loss, tau, config, memo=None):

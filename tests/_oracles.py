@@ -11,8 +11,8 @@ on which the product's empirical metrics equal the population's exactly.
 import numpy as np
 
 from fairnoise.core import (Dataset, FairnessLoss, _slice_mask,
-                            fairness_loss_values, mean_fairness_loss,
-                            predictions)
+                            mean_fairness_loss, predictions)
+from fairnoise.errors import ValidationError
 
 PNP = FairnessLoss.PREDICT_NONPOSITIVE
 ZO = FairnessLoss.ZERO_ONE
@@ -41,6 +41,15 @@ class Population:
         """Iterate (features, sensitive, target, mass) per cell."""
         return zip(self.features, self.sensitive.tolist(),
                    self.target.tolist(), self.mass)
+
+
+def fairness_loss_values(loss, preds, targets):
+    """Per-example fairness-loss values in {0.0, 1.0}."""
+    if loss == PNP:
+        return 1.0 - preds.astype(float)
+    if loss == ZO:
+        return (preds != targets).astype(float)
+    raise ValidationError(f"unknown fairness loss {loss!r}")
 
 
 def mean_loss(pop, scorer, loss, sensitive=None, target=None):

@@ -1,6 +1,7 @@
 """Constrained-trainer tests: boundary behavior, the noise-aware wrapper,
 reduction-constraint conversions and model persistence."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from functools import partial
@@ -10,16 +11,18 @@ import pytest
 
 from fairnoise import fairtrain
 from fairnoise._logit import fit_logistic
-from fairnoise.bench import disparity_synthetic_config, synth_generate
+from fairnoise.bench import (ExperimentConfig, default_experiment_config,
+                             disparity_synthetic_config, run_sweep,
+                             synth_generate)
 from fairnoise.cli import main
 from fairnoise.core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
                             LinearScorer, accuracy_risk, ddp, deo,
-                            fairness_loss_values, mean_fairness_loss,
-                            predictions)
+                            mean_fairness_loss, predictions)
 from fairnoise.errors import (EmptySlice, InfeasibleWarning, NumericalError,
                               PairingWarning, ValidationError)
-from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _FEASIBILITY_SLACK,
-                                 _REGULARIZATION, TrainConfig,
+from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _DUAL_BOUND,
+                                 _FEASIBILITY_SLACK, _REGULARIZATION,
+                                 TrainConfig,
                                  _clean_conditionals_from_corrupted,
                                  _criterion_masks, _Reduction, _resolve_noise,
                                  load_model, save_model, train_fair,
@@ -28,7 +31,8 @@ from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
                              ccn_to_mc_from_corrupted, inject_ccn,
                              scale_tolerance)
 
-from _oracles import corrupt, reduction_constraint_value
+from _oracles import (corrupt, fairness_loss_values,
+                      reduction_constraint_value)
 from _random_cases import random_dataset, random_population, random_scorer
 
 DP = Criterion.DEMOGRAPHIC_PARITY
@@ -308,8 +312,8 @@ class TestPresolveMemo:
 
 class TestChordPresolve:
     """The bisection narrows its bracket to ``hi * 2**-presolve_iterations``
-    with a feasible fit at the returned dual; chord-started steps keep the
-    Newton iterations of a training low."""
+    with a feasible fit at the returned dual; interpolated warm starts and
+    the secant keep the fits and Newton iterations of a training low."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -344,9 +348,12 @@ class TestChordPresolve:
         if abs(steps[0][1]) <= tau_int:  # the unconstrained fit is feasible
             assert nu == 0.0 and len(steps) == 1
         else:
-            cut = len(steps) - depth
+            # the doubling ends at its first feasible fit; a secant
+            # attempt adds at most two steps to the bisection's depth
+            cut = 1 + next(i for i, s in enumerate(steps[1:], 1)
+                           if sgn * s[1] <= tau_int)
             doubling, bisection = steps[1:cut], steps[cut:]
-            assert len(bisection) == depth
+            assert len(bisection) <= depth + 2
             assert [abs(s[0]) for s in doubling] == [
                 2.0 ** k for k in range(len(doubling))]
             # on these data the doubling finds a feasible top below the cap
@@ -378,12 +385,81 @@ class TestChordPresolve:
             for tau in (0.02, 0.05, 0.1):
                 assert train_fair(data, FairnessSpec(criterion, tolerance=tau)
                                   ).trace.feasible
-        # 6 trainings of 21 fits (the unconstrained start, one doubling
-        # step, 18 bisection steps and the final best response); 402 Newton
-        # iterations when measured, 566 at depth 25 with steps started from
+        # 6 trainings of 13-20 fits (the unconstrained start, one doubling
+        # step, 10-17 bisection and secant steps, and the final best
+        # response) and 348 Newton iterations when measured; with 18
+        # chord-started bisection steps and every step line-searched, 126
+        # fits and 402 iterations, 566 at depth 25 with steps started from
         # the previous fit, 473 at depth 18 started so
-        assert len(iterations) == 6 * 21
-        assert sum(iterations) <= 420
+        assert len(iterations) == 99
+        assert sum(iterations) <= 360
+
+    def test_every_fit_of_a_default_sweep_converges(self, monkeypatch):
+        # Chord-started steps used to stall at the loss's rounding floor,
+        # 5 of 320 fits per repetition at a gradient norm just above tol;
+        # the unchecked full Newton step carries them under it.
+        fits = []
+
+        def recording_fit(*args, **kwargs):
+            fit = fit_logistic(*args, **kwargs)
+            fits.append((fit[2], fit[3], kwargs["max_iter"]))
+            return fit
+
+        monkeypatch.setattr(fairtrain, "fit_logistic", recording_fit)
+        config = default_experiment_config()
+        run_sweep(dataclasses.replace(config, repetitions=1))
+        assert len(fits) == 239  # 320 with the plain bisection
+        assert all(gnorm <= 1e-8 or it == cap for it, gnorm, cap in fits)
+
+    @pytest.mark.parametrize("case", [
+        {}, {"noise_mode": "estimate"},
+        {"noise_mode": "rho_hat_sweep",
+         "rho_hat_grid": ((0.1, 0.1), (0.15, 0.15), (0.2, 0.2))},
+        {"criterion": EO},
+        {"loss": FairnessLoss.ZERO_ONE, "tau_grid": (0.0, 0.005, 0.02)}],
+        ids=["known", "estimate", "rho_hat_sweep", "eo", "zero_one"])
+    def test_sweep_rows_match_the_plain_bisection(self, monkeypatch, case):
+        # The secant and the interpolated warm starts return other duals
+        # than the plain bisection, within the same width of the boundary;
+        # the swept models still score every row alike.
+        config = ExperimentConfig(
+            synthetic=disparity_synthetic_config(n=700, seed=4),
+            repetitions=1, **case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PairingWarning)
+            rows = run_sweep(config)
+            monkeypatch.setattr(fairtrain, "_presolve", _bisection_presolve)
+            assert run_sweep(config) == rows
+
+
+def _bisection_presolve(red, tau_int, config):
+    """The presolve before the secant and the interpolated warm starts,
+    verbatim: every bisection step starts from the chord midpoint."""
+    v0 = red.presolve_step(0.0, 4 * config.presolve_base_iterations)
+    if abs(v0) <= tau_int:
+        return 0.0
+    lo_fit = red.coef, red.intercept
+    sgn = 1.0 if v0 > 0 else -1.0
+    hi = 1.0
+    while hi < _DUAL_BOUND:
+        v = red.presolve_step(sgn * hi, config.presolve_base_iterations)
+        if sgn * v <= tau_int:
+            break
+        hi *= 2.0
+    hi_fit = red.coef, red.intercept
+    hi = min(hi, _DUAL_BOUND)
+    lo = 0.0
+    for _ in range(config.presolve_iterations):
+        mid = 0.5 * (lo + hi)
+        red.coef = 0.5 * (lo_fit[0] + hi_fit[0])
+        red.intercept = 0.5 * (lo_fit[1] + hi_fit[1])
+        v = red.presolve_step(sgn * mid, config.presolve_base_iterations)
+        if sgn * v <= tau_int:
+            hi, hi_fit = mid, (red.coef, red.intercept)
+        else:
+            lo, lo_fit = mid, (red.coef, red.intercept)
+    red.coef, red.intercept = hi_fit
+    return sgn * hi
 
 
 class TestTrainFairNoisy:

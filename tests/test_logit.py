@@ -87,14 +87,15 @@ def _unbuffered_fit(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
 
     f = loss(z)
     g = None
+    g_full = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         p = _masked_sigmoid(X @ z[:d] + z[d])
-        h = (1.0 - p) * p * wn
         r = (p - targets) * wn
         g = np.append(X.T @ r + reg * z[:d], r.sum())
         if math.sqrt(g @ g) <= tol:
             break
+        h = (1.0 - p) * p * wn
         H = np.empty((d + 1, d + 1))
         for j in range(d):
             col = X[:, j] * h
@@ -111,6 +112,11 @@ def _unbuffered_fit(X, targets, weights, reg=0.0, max_iter=200, tol=1e-8,
             if not np.isfinite(H).all():
                 break
             step = np.linalg.lstsq(H, -g, rcond=None)[0]
+        gnorm = math.sqrt(g @ g)
+        if 0.0 < -float(g @ step) <= 1e-4 and gnorm < g_full:
+            # the quadratic regime: the full step, unchecked
+            z, f, g_full = z + step, loss(z + step), gnorm
+            continue
         for direction in (step, -g):  # Newton, then the gradient fallback
             slope = float(g @ direction)
             a = 1.0
@@ -258,7 +264,10 @@ class TestFitLogistic:
                 return np.log1p(*args, **kwargs)
 
         monkeypatch.setattr(_logit, "np", CountingNumpy())
-        X, targets, weights, _ = _problem(n, d, seed=5 * n + d)
+        X, _, weights, coef0 = _problem(n, d, seed=5 * n + d)
+        # targets with an optimum far from the cold start, so that the cold
+        # fit's first Newton steps are line-searched
+        targets = sigmoid(X @ (2 * coef0))
         opt = _fit_quietly(X, targets, weights, reg=3e-3)
         assert opt[3] <= 1e-8 and log1p_calls
         log1p_calls.clear()
@@ -484,6 +493,18 @@ class TestDegenerateInputs:
             coef, b, n_iter, gnorm = fit_logistic(1e160 * X, targets, weights)
         assert np.array_equal(coef, np.zeros(2)) and b == 0.0
         assert n_iter == 1 and gnorm == np.inf
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_cold_fit_at_zero_tolerance_ends_before_the_cap(self, n, d):
+        # Near the optimum the full Newton steps go unchecked while they
+        # shrink the gradient; once one does not, the line search finds no
+        # decrease at the rounding floor and the fit stops there.
+        X, targets, weights, _ = _problem(n, d, seed=7 * n + d)
+        tight = _fit_quietly(X, targets, weights, reg=3e-3)
+        coef, b, n_iter, gnorm = _fit_quietly(X, targets, weights, reg=3e-3,
+                                              tol=0.0, max_iter=200)
+        assert n_iter < 200 and gnorm <= tight[3]
+        assert np.allclose(coef, tight[0], rtol=0, atol=1e-9)
 
     def test_no_decrease_stops_without_a_step(self):
         # Started at the optimum with tol = 0, the Newton steps are rounding
