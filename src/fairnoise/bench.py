@@ -474,6 +474,9 @@ def run_sweep(config, jobs=1):
     The data is loaded once. Repetitions are independent given their
     derived seeds; with ``jobs`` > 1, several run as one task each in up
     to ``jobs`` worker processes. Identical configs yield identical rows.
+    A worker returns the warnings its repetition raised, and this process
+    warns them again in repetition order, so what is shown or raised does
+    not depend on ``jobs``.
     """
     run = partial(run_cell, config, _load_data(config))
     reps = range(config.repetitions)
@@ -481,7 +484,35 @@ def run_sweep(config, jobs=1):
         return [row for chunk in map(run, reps) for row in chunk]
     from concurrent.futures import ProcessPoolExecutor  # 12 ms of a CLI start
     with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
-        return [row for chunk in pool.map(run, reps) for row in chunk]
+        done = list(pool.map(partial(_run_recording, run), reps))
+    for _, caught in done:
+        for warning in caught:
+            _warn_again(*warning)
+    return [row for chunk, _ in done for row in chunk]
+
+
+def _run_recording(run, rep):
+    """``run(rep)`` in a worker: its rows, and every warning it raised as
+    (message, category, file name, line number)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run(rep)
+    return rows, [(w.message, w.category, w.filename, w.lineno)
+                  for w in caught]
+
+
+def _warn_again(message, category, filename, lineno):
+    """Warn as the worker's ``warnings.warn`` did, but in this process: at
+    the same file and line, under this process's filters, and once per
+    location as ``warn`` counts it, in the registry of the module that
+    warned."""
+    import sys
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    scope = {} if module is None else vars(module)
+    warnings.warn_explicit(message, category, filename, lineno,
+                           module=scope.get("__name__"),
+                           registry=scope.setdefault("__warningregistry__", {}))
 
 
 def _fmt_cell(value):
@@ -505,10 +536,13 @@ def agg_path(path):
     return root + "_agg" + (ext or ".csv")
 
 
-def emit_results(rows, path):
+def emit_results(rows, path, by_pair=True):
     """Write the results table plus a companion ``*_agg`` file holding
     per-(method, tau, rho_hat, split) means and standard deviations.
 
+    With ``by_pair`` false (``noise_mode = estimate``, where each
+    repetition estimates its own pair), the groups are per (method, tau,
+    split) and their rho_hat cells hold the mean estimate of the group.
     Output is byte-stable: rows are sorted, floats use repr, no
     timestamps.
     """
@@ -523,8 +557,8 @@ def emit_results(rows, path):
     for row in rows:
         if row.fairness_violation is None:
             continue
-        key = (row.method, row.tau, row.rho_plus_hat, row.rho_minus_hat, row.split)
-        groups.setdefault(key, []).append(row)
+        pair = (row.rho_plus_hat, row.rho_minus_hat) if by_pair else (None, None)
+        groups.setdefault((row.method, row.tau, *pair, row.split), []).append(row)
     agg = agg_path(path)
     with open(agg, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -536,6 +570,11 @@ def emit_results(rows, path):
             er = np.array([r.error for r in members])
             std_fv = float(fv.std(ddof=1)) if len(fv) > 1 else 0.0
             std_er = float(er.std(ddof=1)) if len(er) > 1 else 0.0
+            if not by_pair and members[0].rho_plus_hat is not None:
+                key = (*key[:2],
+                       float(np.mean([r.rho_plus_hat for r in members])),
+                       float(np.mean([r.rho_minus_hat for r in members])),
+                       key[4])
             writer.writerow([_fmt_cell(v) for v in key]
                             + [len(members), repr(float(fv.mean())), repr(std_fv),
                                repr(float(er.mean())), repr(std_er)])

@@ -243,7 +243,8 @@ def _cmd_sweep(args):
     _require_out_dir(args.out)
     _require_out_dir(bench.agg_path(args.out))
     rows = bench.run_sweep(config, jobs=jobs)
-    agg_path = bench.emit_results(rows, args.out)
+    agg_path = bench.emit_results(rows, args.out,
+                                  by_pair=config.noise_mode != "estimate")
     done = sum(1 for r in rows if r.fairness_violation is not None)
     print(f"wrote {args.out} ({len(rows)} rows, {done} evaluated) and {agg_path}")
     for line in _summarize(rows, config.noise_mode == "rho_hat_sweep"):

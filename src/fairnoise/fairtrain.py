@@ -12,20 +12,23 @@ feasibility use exact 0-1 counts.
 A bisection presolve on the net dual finds the constraint boundary, at an
 internal tolerance shrunk by a small margin that absorbs the
 boundary-riding generalization gap: a doubling search brackets it in
-[0, hi], then halvings narrow the bracket to a width of hi * 2**-18 (by
-default). Once the fits at the bracket ends predict differently on one
-counted row only, the violation jumps where that row's score crosses
-zero, and a safeguarded secant (after Dowell and Jarratt, BIT 1971)
-places two steps that width apart around the interpolated crossing;
-when they do not close the bracket, the halving resumes. Each step
-starts from the fits at the bracket ends interpolated in the dual, so a
-deep step converges at its first gradient. A default training returns
-the one best response at the bracket's feasible end. Each presolve step
-is an exact fit that depends only on the data, criterion, loss, its dual
-and its warm start, which the path of earlier accept/reject decisions
-fixes; so trainings that differ only in tolerance walk one bisection
-tree until their decisions split, and given a caller-owned memo they fit
-each shared step once and reuse it bit for bit.
+[hi / 2, hi] (or [0, hi] when its first probe is feasible), starting at
+the largest power of two at which no row's fairness weight nu / n_k
+exceeds its accuracy weight 1 / n, then halvings narrow the bracket to a
+width of hi * 2**-18 (by default). Once the fits at the bracket ends
+predict differently on one counted row only, the violation jumps where
+that row's score crosses zero, and a safeguarded secant (after Dowell
+and Jarratt, BIT 1971) places two steps that width apart around the
+interpolated crossing; when they do not close the bracket, the halving
+resumes. Each step starts from the fits at the bracket ends interpolated
+in the dual, so a deep step converges at its first gradient. A default
+training returns the one best response at the bracket's feasible end.
+Each presolve step is an exact fit that depends only on the data,
+criterion, loss, its dual and its warm start, which the path of earlier
+accept/reject decisions fixes; so trainings that differ only in
+tolerance walk one bisection tree until their decisions split, and given
+a caller-owned memo they fit each shared step once and reuse it bit for
+bit.
 
 With ``outer_iterations > 1`` the duals are then updated by capped
 multiplicative exponentiated gradient on the signed 0-1 violation minus
@@ -75,9 +78,11 @@ class TrainConfig:
     cold one needs under ten, an interpolation-started presolve step one
     to three. ``presolve_iterations`` sets a width rule: the returned dual
     is within ``hi * 2**-presolve_iterations`` of the boundary, where
-    ``hi`` is the doubling bracket's top: the first of 1, 2, 4, ... whose
-    fit is feasible, capped at the dual bound. The bracket narrows by at
-    most that many halvings plus the secant's two steps, so by at most
+    ``hi`` is the doubling bracket's top: the first of nu_1, 2 nu_1, 4
+    nu_1, ... whose fit is feasible, capped at the dual bound, where nu_1
+    is the largest power of two at most ``min(n0, n1) / n`` for slices of
+    n0 and n1 of the n rows. The bracket narrows by at most that many
+    halvings plus the secant's two steps, so by at most
     ``presolve_iterations + 2`` fits. Training is deterministic.
     """
 
@@ -275,8 +280,13 @@ def _secant_probes(red, lo, hi, width):
 def _presolve(red, tau_int, config):
     """Bisection on the net dual pressure to the constraint boundary.
 
-    The doubling steps start from the previous fit. Then one midpoint per
-    level narrows the bracket toward ``width = hi *
+    The doubling starts at the largest power of two at which no counted
+    row's fairness weight ``nu / n_k`` exceeds its accuracy weight ``1 /
+    n``, so at most 0.5, and each step starts from the previous fit; each
+    infeasible probe becomes the bracket's lower end. Both depend only on
+    the data and the criterion, so trainings at other tolerances share
+    the doubling, and powers of two keep every later midpoint exact. Then
+    one midpoint per level narrows the bracket toward ``width = hi *
     2**-presolve_iterations`` until one secant attempt can start
     (``_secant_probes``); its two steps usually close the bracket, else
     the halving resumes, so at most ``presolve_iterations + 2`` steps
@@ -293,11 +303,12 @@ def _presolve(red, tau_int, config):
         return 0.0
     lo = _End(0.0, red.coef, red.intercept, red.pos)
     sgn = 1.0 if v0 > 0 else -1.0
-    top = 1.0
+    top = 2.0 ** math.floor(math.log2(min(red.n0, red.n1) / red.n))
     while top < _DUAL_BOUND:
         v = red.presolve_step(sgn * top, iters)
         if sgn * v <= tau_int:
             break
+        lo = _End(top, red.coef, red.intercept, red.pos)
         top *= 2.0
     hi = _End(min(top, _DUAL_BOUND), red.coef, red.intercept, red.pos)
     width = hi.nu * 2.0 ** -config.presolve_iterations

@@ -1,5 +1,8 @@
 """CLI surface tests: subcommand behavior and the exit-code contract."""
 
+import contextlib
+import csv
+import io
 import os
 import re
 import subprocess
@@ -587,6 +590,86 @@ class TestSweep:
         assert p.read_bytes() == shipped.read_bytes()
 
 
+_SUMMARY_LINE = re.compile(r"^  (.+?) +tau=(\S+) +test violation=(\S+) "
+                           r"error=(\S+)$")
+
+
+class TestEstimateModeAggregates:
+    """With ``noise_mode=estimate`` each repetition estimates its own rate
+    pair; ``_agg`` still averages over the repetitions, as stdout does."""
+
+    CASES = {"default": [],
+             # the paper's case study: the sensitive attribute is censored,
+             # some A=1 rows report A=0 and none go the other way
+             "censoring": ["--set", "rho_plus=0.3", "--set", "rho_minus=0",
+                           "--set", "synth_n=20000"]}
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """Each case's (rows, agg rows, stdout), its sweep run once."""
+        done = {}
+
+        def run(case):
+            if case not in done:
+                out = tmp_path_factory.mktemp(case) / "r.csv"
+                argv = ["sweep", "--set", "noise_mode=estimate", "--set",
+                        "repetitions=3", *self.CASES[case], "--jobs", "1",
+                        "--out", str(out)]
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    assert main(argv) == 0
+                with open(bench.agg_path(str(out)), newline="") as fh:
+                    agg = list(csv.DictReader(fh))
+                done[case] = read_results(out), agg, stdout.getvalue()
+            return done[case]
+        return run
+
+    @pytest.fixture(params=sorted(CASES))
+    def sweep(self, request, run):
+        return run(request.param)
+
+    def test_every_group_holds_the_repetitions(self, sweep):
+        rows, agg, _ = sweep
+        assert len(agg) == 4 * 5 * 2  # methods x taus x splits
+        assert all(g["n"] == "3" for g in agg)
+        for g in agg:
+            members = [r for r in rows if (r.method, r.tau, r.split)
+                       == (g["method"], float(g["tau"]), g["split"])]
+            assert len(members) == 3
+            if g["method"] in ("cor_scale", "denoise"):
+                for cell in ("rho_plus_hat", "rho_minus_hat"):
+                    values = [getattr(r, cell) for r in members]
+                    assert len(set(values)) > 1  # one estimate per repetition
+                    assert float(g[cell]) == float(np.mean(values))
+            else:
+                assert g["rho_plus_hat"] == g["rho_minus_hat"] == ""
+
+    def test_test_split_means_are_the_summary(self, sweep):
+        from fairnoise.denoise import LABEL
+        _, agg, stdout = sweep
+        summary = {}
+        for line in stdout.splitlines():
+            m = _SUMMARY_LINE.match(line)
+            if m:
+                method = "denoise" if m[1] == LABEL else m[1]
+                summary[method, float(m[2])] = (m[3], m[4])
+        expected = {(g["method"], float(g["tau"])): (
+            f"{float(g['mean_fairness_violation']):.4f}",
+            f"{float(g['mean_error']):.4f}") for g in agg
+            if g["split"] == "test"}
+        assert summary == expected
+
+    def test_censored_rates_are_estimated(self, run):
+        # measured: rho+ 0.302-0.312 and rho- 1e-06-0.001 over the three
+        # repetitions; the bounds leave the measured spread and no more
+        rows, _, _ = run("censoring")
+        pairs = {(r.rho_plus_hat, r.rho_minus_hat) for r in rows
+                 if r.rho_plus_hat is not None}
+        assert len(pairs) == 3
+        assert all(0.295 <= p <= 0.315 and 0.0 <= m <= 0.002
+                   for p, m in pairs)
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
@@ -642,6 +725,43 @@ class TestWarningAsError:
         assert len(record) == 1
         assert Path(record[0].filename) == Path(cli.__file__)
         assert (tmp_path / "m.txt").exists()
+
+
+class TestWorkerWarnings:
+    """Workers return their warnings and the parent warns them again, so a
+    sweep's stderr does not depend on ``--jobs``."""
+
+    @staticmethod
+    def stderr(tmp_path, sets, jobs, *flags):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = [sys.executable, *flags, "-m", "fairnoise.cli", "sweep",
+                "--jobs", jobs, "--out", str(tmp_path / f"r{jobs}.csv")]
+        for item in sets:
+            argv += ["--set", item]
+        done = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        return done.returncode, done.stderr
+
+    @pytest.mark.parametrize("sets, pairing, failed", [
+        (["loss=zero_one", "tau_grid=0,0.005,0.02", "synth_n=600"], 1, 0),
+        (["loss=zero_one", "synth_n=3", "repetitions=2"], 1, 40)],
+        ids=["pairing", "failed_cells"])
+    def test_stderr_does_not_depend_on_jobs(self, tmp_path, sets, pairing,
+                                            failed):
+        # one PairingWarning per sweep (its location repeats in every
+        # repetition) and one warning per failed cell, in repetition order
+        one, two = (self.stderr(tmp_path, sets, jobs) for jobs in ("1", "2"))
+        assert one == two
+        assert one[0] == 0
+        assert one[1].count("PairingWarning: non-default pairing") == pairing
+        assert one[1].count("FairnoiseWarning: sweep cell") == failed
+        # as an error, the first of them ends either run
+        one, two = (self.stderr(tmp_path, sets, jobs, "-W", "error")
+                    for jobs in ("1", "2"))
+        assert one == two
+        assert one[0] == 1 and one[1].count("\n") == 1
+        assert one[1].startswith("PairingWarning: non-default pairing")
 
 
 class TestJobsEnvVar:

@@ -2,6 +2,7 @@
 reduction-constraint conversions and model persistence."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from functools import partial
@@ -109,9 +110,9 @@ class TestTrainFair:
         assert a.trace.tau_internal == pytest.approx(0.1 - _BOUNDARY_MARGIN)
 
     def test_infeasible_warns_and_returns_least_violating(self, synth_data):
-        # five dual steps from a five-step presolve cannot reach tau = 0
+        # five dual steps from a four-step presolve cannot reach tau = 0
         config = TrainConfig(outer_iterations=5, base_iterations=30,
-                             presolve_iterations=5,
+                             presolve_iterations=4,
                              presolve_base_iterations=40)
         with pytest.warns(InfeasibleWarning):
             model = train_fair(synth_data, FairnessSpec(DP, tolerance=0.0),
@@ -241,8 +242,12 @@ class TestPresolveMemo:
             assert shared_warned == alone_warned
             assert len(alone_warned) == (not alone.trace.feasible)
         if config.presolve_iterations == 2:
+            # a repeated training, all memo hits, warns again; at this
+            # depth only DP with the zero-one loss reaches tau = 0, its
+            # first doubling probe landing on a crossing near nu = 0
+            infeasible = (criterion, loss) != (DP, FairnessLoss.ZERO_ONE)
             assert len(_train_recording(data, _specs(criterion, loss, [0.0])[0],
-                                        config, memo)[1]) == 1
+                                        config, memo)[1]) == infeasible
         # an entry holds a fit's coefficients, intercept and violation only
         assert all(coef.shape == (data.dimension,) and isinstance(b, float)
                    and isinstance(v, float) for coef, b, v in memo.values())
@@ -348,18 +353,25 @@ class TestChordPresolve:
         if abs(steps[0][1]) <= tau_int:  # the unconstrained fit is feasible
             assert nu == 0.0 and len(steps) == 1
         else:
-            # the doubling ends at its first feasible fit; a secant
+            # the doubling starts at the largest power of two whose
+            # fairness weight nu / n_k stays within the accuracy weight 1 / n
+            # on both slices, and ends at its first feasible fit; a secant
             # attempt adds at most two steps to the bisection's depth
+            n_min = min(m.sum() for m in _criterion_masks(data, criterion))
+            nu_1 = max(2.0 ** k for k in range(-40, 1)
+                       if 2.0 ** k * len(data) <= n_min)
+            assert nu_1 == 0.125  # slices of 189 (DP) and 117 (EO) of 800
             cut = 1 + next(i for i, s in enumerate(steps[1:], 1)
                            if sgn * s[1] <= tau_int)
             doubling, bisection = steps[1:cut], steps[cut:]
             assert len(bisection) <= depth + 2
             assert [abs(s[0]) for s in doubling] == [
-                2.0 ** k for k in range(len(doubling))]
+                nu_1 * 2.0 ** k for k in range(len(doubling))]
             # on these data the doubling finds a feasible top below the cap
             hi0 = abs(doubling[-1][0])
             assert sgn * doubling[-1][1] <= tau_int
-            lo = max([abs(s[0]) for s in bisection if sgn * s[1] > tau_int],
+            # the infeasible doubling probes are bracket ends too
+            lo = max([abs(s[0]) for s in steps[1:] if sgn * s[1] > tau_int],
                      default=0.0)
             assert lo < sgn * nu <= hi0
             assert sgn * nu - lo <= hi0 * 2.0 ** -depth
@@ -385,14 +397,57 @@ class TestChordPresolve:
             for tau in (0.02, 0.05, 0.1):
                 assert train_fair(data, FairnessSpec(criterion, tolerance=tau)
                                   ).trace.feasible
-        # 6 trainings of 13-20 fits (the unconstrained start, one doubling
-        # step, 10-17 bisection and secant steps, and the final best
-        # response) and 348 Newton iterations when measured; with 18
+        # 6 trainings of 13-22 fits (the unconstrained start, one to three
+        # doubling steps from nu = 0.125, 9-19 bisection and secant steps,
+        # and the final best response) and 284 Newton iterations when
+        # measured; 99 fits and 348 iterations with the doubling started
+        # at nu = 1 and the last infeasible probe refitted; with 18
         # chord-started bisection steps and every step line-searched, 126
         # fits and 402 iterations, 566 at depth 25 with steps started from
         # the previous fit, 473 at depth 18 started so
-        assert len(iterations) == 99
-        assert sum(iterations) <= 360
+        assert len(iterations) == 107
+        assert sum(iterations) <= 300
+
+    @pytest.mark.parametrize("loss", [None, FairnessLoss.ZERO_ONE])
+    @pytest.mark.parametrize("criterion", [DP, EO])
+    def test_no_dual_is_fitted_twice(self, data, monkeypatch, criterion,
+                                     loss):
+        # each infeasible doubling probe is the bracket's lower end, so the
+        # first midpoint lies above the last one instead of refitting it
+        step = _Reduction.presolve_step
+        duals = []
+
+        def recording_step(red, nu, iters):
+            duals.append(nu)
+            return step(red, nu, iters)
+
+        monkeypatch.setattr(_Reduction, "presolve_step", recording_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InfeasibleWarning)
+            for spec in _specs(criterion, loss, TestPresolveMemo.TAUS):
+                duals.clear()
+                train_fair(data, spec)
+                assert len(set(duals)) == len(duals)
+
+    def test_a_five_row_slice_of_20000_rows_trains(self, monkeypatch):
+        # 5 / 20,000 puts the first probe at 2**-12, so the doubling makes
+        # 11 infeasible probes below its feasible top of 0.5: 26 fits,
+        # where a start at nu = 1 made 17 to the same model
+        full = synth_generate(disparity_synthetic_config(n=20000, seed=5))
+        a = np.zeros(len(full), dtype=int)
+        a[np.flatnonzero(full.sensitive)[:5]] = 1
+        data = Dataset(full.features, a, full.target)
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_logistic(*args, **kwargs)
+
+        monkeypatch.setattr(fairtrain, "fit_logistic", counting_fit)
+        model = train_fair(data, FairnessSpec(DP, tolerance=0.05))
+        assert len(fits) == 26
+        assert model.trace.feasible
+        assert ddp(data, model) == model.trace.violations[0] <= 0.05
 
     def test_every_fit_of_a_default_sweep_converges(self, monkeypatch):
         # Chord-started steps used to stall at the loss's rounding floor,
@@ -408,7 +463,9 @@ class TestChordPresolve:
         monkeypatch.setattr(fairtrain, "fit_logistic", recording_fit)
         config = default_experiment_config()
         run_sweep(dataclasses.replace(config, repetitions=1))
-        assert len(fits) == 239  # 320 with the plain bisection
+        # 239 with the doubling started at nu = 1, 320 with the plain
+        # bisection before that
+        assert len(fits) == 249
         assert all(gnorm <= 1e-8 or it == cap for it, gnorm, cap in fits)
 
     @pytest.mark.parametrize("case", [
@@ -433,23 +490,25 @@ class TestChordPresolve:
 
 
 def _bisection_presolve(red, tau_int, config):
-    """The presolve before the secant and the interpolated warm starts,
-    verbatim: every bisection step starts from the chord midpoint."""
+    """The presolve before the secant and the interpolated warm starts: the
+    same doubling, then halvings to the same width, each started from the
+    chord midpoint."""
     v0 = red.presolve_step(0.0, 4 * config.presolve_base_iterations)
     if abs(v0) <= tau_int:
         return 0.0
-    lo_fit = red.coef, red.intercept
+    lo, lo_fit = 0.0, (red.coef, red.intercept)
     sgn = 1.0 if v0 > 0 else -1.0
-    hi = 1.0
+    hi = 2.0 ** math.floor(math.log2(min(red.n0, red.n1) / red.n))
     while hi < _DUAL_BOUND:
         v = red.presolve_step(sgn * hi, config.presolve_base_iterations)
         if sgn * v <= tau_int:
             break
+        lo, lo_fit = hi, (red.coef, red.intercept)
         hi *= 2.0
     hi_fit = red.coef, red.intercept
     hi = min(hi, _DUAL_BOUND)
-    lo = 0.0
-    for _ in range(config.presolve_iterations):
+    width = hi * 2.0 ** -config.presolve_iterations
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         red.coef = 0.5 * (lo_fit[0] + hi_fit[0])
         red.intercept = 0.5 * (lo_fit[1] + hi_fit[1])
