@@ -12,8 +12,9 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,13 +216,12 @@ def _parse_rows(reader, drop_missing):
     header = [h.strip() for h in header]
     a_col, y_col, feat_cols = _columns(header)
 
-    feats, sens, labels, dropped = [], [], [], []
+    feats, sens, labels = [], [], []
     for rownum, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ParseError("wrong number of cells", row=rownum)
         if any(cell.strip() == "" for cell in row):
             if drop_missing:
-                dropped.append(rownum)
                 continue
             col = next(header[i] for i, c in enumerate(row) if c.strip() == "")
             raise ParseError("missing value", row=rownum, column=col)
@@ -236,22 +236,16 @@ def _parse_rows(reader, drop_missing):
             if parsed[i] not in (0.0, 1.0):
                 raise SchemaError(
                     f"{name} must be 0 or 1, got {parsed[i]} at row {rownum}")
+        for i in feat_cols:
+            if not math.isfinite(parsed[i]):
+                raise ParseError(f"non-finite value {parsed[i]!r}", row=rownum,
+                                 column=header[i])
         feats.append([parsed[i] for i in feat_cols])
         sens.append(int(parsed[a_col]))
         labels.append(int(parsed[y_col]))
     if not feats:
         raise EmptyDataset("CSV file contains no data rows")
-    X = np.array(feats, dtype=float)
-    bad = np.argwhere(~np.isfinite(X))
-    if len(bad):
-        r, c = bad[0]
-        rownum = r + 2  # the file row of data row r, past any dropped rows
-        for skipped in dropped:
-            if skipped <= rownum:
-                rownum += 1
-        raise ParseError(f"non-finite value {float(X[r, c])!r}", row=rownum,
-                         column=header[feat_cols[c]])
-    return Dataset(X, sens, labels)
+    return Dataset(np.array(feats, dtype=float), sens, labels)
 
 
 def csv_feature_names(path):
@@ -344,8 +338,7 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} lists {repeated[0]!r} twice")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """One results-table row; the fields are the CSV columns, in order, and
     None (a failed cell, or a method that uses no rates) is written empty."""
 
@@ -361,7 +354,7 @@ class ResultRow:
     repetition: int
 
 
-RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+RESULT_COLUMNS = ResultRow._fields
 
 
 def default_experiment_config():
@@ -523,11 +516,17 @@ def _fmt_cell(value):
     return str(value)
 
 
-def _sort_key(row):
-    return (row.method, row.tau,
-            -1.0 if row.rho_plus_hat is None else row.rho_plus_hat,
-            -1.0 if row.rho_minus_hat is None else row.rho_minus_hat,
-            row.repetition, row.split)
+def _sort_key(values):
+    """A sort key for a tuple of cells in which None sorts first."""
+    return tuple(-1.0 if v is None else v for v in values)
+
+
+def _write_table(path, columns, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt_cell(v) for v in row])
 
 
 def agg_path(path):
@@ -538,7 +537,9 @@ def agg_path(path):
 
 def emit_results(rows, path, by_pair=True):
     """Write the results table plus a companion ``*_agg`` file holding
-    per-(method, tau, rho_hat, split) means and standard deviations.
+    per-(method, tau, rho_hat, split) means and standard deviations, and
+    return the ``*_agg`` rows: tuples of ``AGG_COLUMNS`` values, with None
+    for an empty cell, in file order.
 
     With ``by_pair`` false (``noise_mode = estimate``, where each
     repetition estimates its own pair), the groups are per (method, tau,
@@ -546,12 +547,9 @@ def emit_results(rows, path, by_pair=True):
     Output is byte-stable: rows are sorted, floats use repr, no
     timestamps.
     """
-    rows = sorted(rows, key=_sort_key)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt_cell(getattr(row, c)) for c in RESULT_COLUMNS])
+    rows = sorted(rows, key=lambda r: _sort_key(
+        (r.method, r.tau, r.rho_plus_hat, r.rho_minus_hat, r.repetition, r.split)))
+    _write_table(path, RESULT_COLUMNS, rows)
 
     groups = {}
     for row in rows:
@@ -559,25 +557,21 @@ def emit_results(rows, path, by_pair=True):
             continue
         pair = (row.rho_plus_hat, row.rho_minus_hat) if by_pair else (None, None)
         groups.setdefault((row.method, row.tau, *pair, row.split), []).append(row)
-    agg = agg_path(path)
-    with open(agg, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_COLUMNS)
-        for key in sorted(groups, key=lambda k: tuple(
-                -1.0 if v is None else v for v in k)):
-            members = groups[key]
-            fv = np.array([r.fairness_violation for r in members])
-            er = np.array([r.error for r in members])
-            std_fv = float(fv.std(ddof=1)) if len(fv) > 1 else 0.0
-            std_er = float(er.std(ddof=1)) if len(er) > 1 else 0.0
-            if not by_pair and members[0].rho_plus_hat is not None:
-                key = (*key[:2],
-                       float(np.mean([r.rho_plus_hat for r in members])),
-                       float(np.mean([r.rho_minus_hat for r in members])),
-                       key[4])
-            writer.writerow([_fmt_cell(v) for v in key]
-                            + [len(members), repr(float(fv.mean())), repr(std_fv),
-                               repr(float(er.mean())), repr(std_er)])
+    agg = []
+    for key in sorted(groups, key=_sort_key):
+        members = groups[key]
+        if not by_pair and members[0].rho_plus_hat is not None:
+            key = (*key[:2],
+                   float(np.mean([r.rho_plus_hat for r in members])),
+                   float(np.mean([r.rho_minus_hat for r in members])),
+                   key[4])
+        stats = []
+        for values in (np.array([r.fairness_violation for r in members]),
+                       np.array([r.error for r in members])):
+            stats += [float(values.mean()),
+                      float(values.std(ddof=1)) if len(values) > 1 else 0.0]
+        agg.append((*key, len(members), *stats))
+    _write_table(agg_path(path), AGG_COLUMNS, agg)
     return agg
 
 
@@ -587,7 +581,6 @@ def read_results(path):
     wrong header is a ``SchemaError``, as is a row the ``csv`` module cannot
     read, one without one cell per column, or a cell its field type cannot
     read; those name their file row."""
-    types = [f.type for f in fields(ResultRow)]
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -600,7 +593,8 @@ def read_results(path):
                         f"results row {rownum} has {len(rec)} cells, "
                         f"expected {len(RESULT_COLUMNS)}")
                 values = []
-                for name, t, cell in zip(RESULT_COLUMNS, types, rec):
+                for (name, t), cell in zip(ResultRow.__annotations__.items(),
+                                           rec):
                     try:
                         values.append(t(cell) if cell else None)
                     except ValueError:

@@ -13,8 +13,6 @@ import errno
 import os
 import sys
 
-import numpy as np
-
 from . import bench, sweepconfig
 from .core import FairnessSpec, accuracy_risk, ddp, deo, disparity
 from .errors import (DataError, FairnoiseError, FairnoiseWarning,
@@ -243,11 +241,12 @@ def _cmd_sweep(args):
     _require_out_dir(args.out)
     _require_out_dir(bench.agg_path(args.out))
     rows = bench.run_sweep(config, jobs=jobs)
-    agg_path = bench.emit_results(rows, args.out,
-                                  by_pair=config.noise_mode != "estimate")
+    agg = bench.emit_results(rows, args.out,
+                             by_pair=config.noise_mode != "estimate")
     done = sum(1 for r in rows if r.fairness_violation is not None)
-    print(f"wrote {args.out} ({len(rows)} rows, {done} evaluated) and {agg_path}")
-    for line in _summarize(rows, config.noise_mode == "rho_hat_sweep"):
+    print(f"wrote {args.out} ({len(rows)} rows, {done} evaluated) and "
+          f"{bench.agg_path(args.out)}")
+    for line in _summarize(agg, config.noise_mode == "rho_hat_sweep"):
         print(line)
     return 0
 
@@ -260,22 +259,18 @@ def _jobs_from_env():
         raise _UsageExit(f"FAIRNOISE_JOBS must be an integer, got {value!r}") from None
 
 
-def _summarize(rows, by_pair):
-    """Mean test violation and error per (method, [rho-hat pair,] tau)."""
+def _summarize(agg, show_pair):
+    """The test rows of the sweep's ``_agg`` file (``bench.emit_results``):
+    mean violation and error per (method, [rho-hat pair,] tau)."""
     from .denoise import LABEL as DENOISE_LABEL
-    keyed = {}
-    for row in rows:
-        if row.split != "test" or row.fairness_violation is None:
-            continue
-        pair = (row.rho_plus_hat, row.rho_minus_hat)
-        pair = pair if by_pair and pair[0] is not None else ()
-        keyed.setdefault((row.method, pair, row.tau), []).append(row)
+    test = [row for row in agg if row[4] == "test"]
+    if show_pair:  # the file orders each method's rows by tau first
+        test.sort(key=lambda row: bench._sort_key(row[:1] + row[2:4]))
     out = []
-    for (method, pair, tau), group in sorted(keyed.items()):
-        fv = np.mean([r.fairness_violation for r in group])
-        er = np.mean([r.error for r in group])
+    for method, tau, rho_plus, rho_minus, _, _, fv, _, er, _ in test:
         shown = DENOISE_LABEL if method == "denoise" else method
-        at = "rho_hat={:g}:{:g}".format(*pair).ljust(17) if pair else ""
+        at = (f"rho_hat={rho_plus:g}:{rho_minus:g}".ljust(17)
+              if show_pair and rho_plus is not None else "")
         out.append(f"  {shown:<20s} {at}tau={tau:<5g} test violation={fv:.4f} "
                    f"error={er:.4f}")
     return out

@@ -8,7 +8,6 @@ from math import ceil
 
 import numpy as np
 
-from .errors import EmptySlice
 from .estimation import ccn_design, fit_posterior
 
 LABEL = "denoise (simplified)"
@@ -26,12 +25,8 @@ def denoise_ccn(data, rates):
     original index order. Returns the relabeled dataset; features and
     targets are untouched.
     """
-    if len(data) == 0:
-        raise EmptySlice("cannot denoise empty data")
     idx1 = np.flatnonzero(data.sensitive == 1)
     idx0 = np.flatnonzero(data.sensitive == 0)
-    if len(idx1) == 0 or len(idx0) == 0:
-        raise EmptySlice("both apparent groups must be present")
 
     X = ccn_design(data)
     eta = fit_posterior(X, data.sensitive).scores(X)

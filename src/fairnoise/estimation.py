@@ -72,7 +72,8 @@ def fit_posterior(X, sensitive):
     bit on the design ``X``, one row per entry of ``sensitive``:
     ``ccn_design(data)`` for the CCN rates, the Y=1 slice's features for
     the EO rates. ``X`` must be finite and ``sensitive`` binary (else a
-    ``ValidationError``). Deterministic given the row order. The scores
+    ``ValidationError``), with both groups present (else an
+    ``EmptySlice``). Deterministic given the row order. The scores
     are calibrated by up to 20 equal-count bins, each of 1,000 examples or
     more, two bins at least.
 
@@ -92,6 +93,8 @@ def fit_posterior(X, sensitive):
     n = len(t)
     if n == 0:
         raise EmptySlice("cannot fit a posterior on empty data")
+    if not 0 < t.sum() < n:
+        raise EmptySlice("both apparent groups must be present")
     coef, b, iters, gnorm = fit_logistic(
         X, t, np.full(n, 1.0 / n), reg=1.0 / n, tol=_GRAD_TOL)
     if not math.isfinite(gnorm):
@@ -142,10 +145,6 @@ def _quantile_rates(eta):
 
 def estimate_ccn_rates(data):
     """Anchor-point estimate of the CCN flip rates from corrupted data."""
-    if len(data) == 0:
-        raise EmptySlice("cannot estimate on empty data")
-    if not ((data.sensitive == 0).any() and (data.sensitive == 1).any()):
-        raise EmptySlice("both apparent groups must be present")
     X = ccn_design(data)
     eta = fit_posterior(X, data.sensitive).predict_proba(X)
     rho_plus, rho_minus = _quantile_rates(eta)
@@ -164,8 +163,6 @@ def estimate_eo_rates(data):
     if not mask.any():
         raise EmptySlice("Y=1 slice is empty")
     sliced = data.subset(mask)
-    if not ((sliced.sensitive == 0).any() and (sliced.sensitive == 1).any()):
-        raise EmptySlice("Y=1 slice must contain both apparent groups")
     eta = fit_posterior(sliced.features,
                         sliced.sensitive).predict_proba(sliced.features)
     rho_plus, rho_minus = _quantile_rates(eta)

@@ -219,20 +219,18 @@ class _Reduction:
             self.best_response(nu, iters)
             self.pos = self.ws.score > 0
             fit = self.memo[self.key] = (self.coef, self.intercept,
-                                         self._violation(self.pos))
+                                         self.violation(self.pos))
         else:
             self.coef, self.intercept = fit[0], fit[1]
             self.pos = self.X @ self.coef + self.intercept > 0
         return fit[2]
 
-    def violation(self, score):
-        """Signed 0-1 violation of the training scores ``score``: slice-0
-        minus slice-1 mean fairness loss. Right after a best response,
+    def violation(self, pos):
+        """Signed 0-1 violation of the training predictions ``pos`` (a
+        boolean array, true where the score is positive): slice-0 minus
+        slice-1 mean fairness loss. Right after a best response,
         ``ws.score`` holds the fit's own final score, bitwise
-        ``X @ coef + intercept``, so the trainer counts from it."""
-        return self._violation(score > 0)
-
-    def _violation(self, pos):
+        ``X @ coef + intercept``, so the trainer predicts from it."""
         bad = (~pos if self.loss == FairnessLoss.PREDICT_NONPOSITIVE
                else pos != self.positive)
         return (np.count_nonzero(bad & self.m0) / self.n0
@@ -356,7 +354,7 @@ def _train(data, criterion, loss, tau, config, memo=None):
     for t in range(T):
         coefs[t], intercepts[t] = red.best_response(lam_p - lam_m,
                                                     config.base_iterations)
-        v = viols[t] = red.violation(red.ws.score)
+        v = viols[t] = red.violation(red.ws.score > 0)
         eta = _EG_STEP / np.sqrt(t + 1.0)
         lam_p = min(_DUAL_BOUND, lam_p * np.exp(eta * (v - tau_int)))
         lam_m = min(_DUAL_BOUND, lam_m * np.exp(eta * (-v - tau_int)))
@@ -414,7 +412,9 @@ def _clean_conditionals_from_corrupted(mc, data):
 
 def _resolve_noise(data, criterion, noise):
     """Map whatever noise description was supplied to the parameterisation
-    the tolerance scaling needs for this criterion."""
+    the tolerance scaling needs for this criterion, and the pair the trace
+    reports: the CCN rates when they were given or estimated, else the
+    mixture weights used."""
     if criterion == Criterion.DEMOGRAPHIC_PARITY:
         if noise is None:
             noise = estimate_ccn_rates(data)
@@ -422,12 +422,12 @@ def _resolve_noise(data, criterion, noise):
             mc, _ = ccn_to_mc_from_corrupted(noise, data.base_rate())
             return mc, (noise.rho_plus, noise.rho_minus)
         if isinstance(noise, MCNoise):
-            return noise, None
+            return noise, (noise.alpha, noise.beta)
         raise ValidationError("demographic parity scaling needs MC or CCN noise")
     if noise is None:
         noise = estimate_eo_rates(data)
     if isinstance(noise, EOConditionalNoise):
-        return noise, None
+        return noise, (noise.alpha_prime, noise.beta_prime)
     if isinstance(noise, CCNNoise):
         # CCN flips are independent of Y, so the Y=1 slice is CCN with the
         # same rates; its MC weights are exactly (alpha', beta').
@@ -438,8 +438,8 @@ def _resolve_noise(data, criterion, noise):
         return (EOConditionalNoise(mc.alpha, mc.beta),
                 (noise.rho_plus, noise.rho_minus))
     if isinstance(noise, MCNoise):
-        q1, q0 = _clean_conditionals_from_corrupted(noise, data)
-        return mc_to_eo(noise, q1, q0), None
+        eo = mc_to_eo(noise, *_clean_conditionals_from_corrupted(noise, data))
+        return eo, (eo.alpha_prime, eo.beta_prime)
     raise ValidationError("equal opportunity scaling needs EO, MC or CCN noise")
 
 
@@ -454,14 +454,8 @@ def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),
     Any other fair classifier that takes a tolerance is made noise-aware
     the same way: train it at ``scale_tolerance(tau, noise)``.
     """
-    resolved, rates = _resolve_noise(data_corrupted, spec.criterion, noise)
+    resolved, noise_used = _resolve_noise(data_corrupted, spec.criterion, noise)
     tau_prime = scale_tolerance(spec.tolerance, resolved)
-    if rates is not None:
-        noise_used = rates
-    elif isinstance(resolved, MCNoise):
-        noise_used = (resolved.alpha, resolved.beta)
-    else:
-        noise_used = (resolved.alpha_prime, resolved.beta_prime)
     model = _train(data_corrupted, spec.criterion, spec.fairness_loss,
                    tau_prime, config, memo)
     model.trace.tau_original = spec.tolerance

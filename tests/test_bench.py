@@ -473,13 +473,13 @@ class TestEmitResults:
         rows = run_sweep(cfg) + [ResultRow("cor_scale", 0.1, None, None, None,
                                            "test", None, None, 3, 0)]
         out = tmp_path / "results.csv"
-        agg = emit_results(rows, out)
+        emit_results(rows, out)
         header = out.read_text().splitlines()[0]
         assert header == ("method,tau,tau_prime,rho_plus_hat,rho_minus_hat,"
                           "split,fairness_violation,error,seed,repetition")
         back = read_results(out)
         assert sorted(back, key=str) == sorted(rows, key=str)
-        assert agg.endswith("_agg.csv")
+        assert bench.agg_path(out).endswith("_agg.csv")
 
     def test_empty_rows_header_only(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -491,8 +491,10 @@ class TestEmitResults:
         rows = [ResultRow("nocor", 0.1, None, None, None, "test", v, e, 3, i)
                 for i, (v, e) in enumerate([(0.1, 0.2), (0.2, 0.3), (0.3, 0.4)])]
         out = tmp_path / "r.csv"
-        agg_path = emit_results(rows, out)
-        line = Path(agg_path).read_text().splitlines()[1].split(",")
+        agg = emit_results(rows, out)
+        line = Path(bench.agg_path(out)).read_text().splitlines()[1].split(",")
+        assert line == [bench._fmt_cell(v) for v in agg[0]]
+        assert agg[0][:6] == ("nocor", 0.1, None, None, "test", 3)
         assert float(line[6]) == pytest.approx(0.2, abs=1e-12)   # mean violation
         assert float(line[8]) == pytest.approx(0.3, abs=1e-12)   # mean error
 

@@ -220,6 +220,14 @@ class TestEstimate:
         assert main(["estimate", "--input", str(big_csv)] + flags) == 3
         assert "posterior fit overflowed" in capsys.readouterr().err
 
+    def test_eo_slice_with_one_apparent_group_exits_2(self, tmp_path, capsys):
+        # both groups are present, but every Y=1 row reports A=1
+        p = tmp_path / "d.csv"
+        p.write_text("x0,sensitive,label\n0.5,1,1\n1.5,1,1\n2.5,0,0\n3.5,1,0\n")
+        assert main(["estimate", "--eo", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: both apparent groups must be present\n")
+
 
 class TestMetrics:
     def test_model_evaluation(self, csv_path, tmp_path, capsys):
@@ -329,6 +337,14 @@ class TestMalformedInputs:
         p.write_text("x0,sensitive,label\n,0,1\n1.0,1,0\n,0,0\n2.0,0,1\nnan,1,1\n")
         with pytest.raises(ParseError, match="row 6, column 'x0'"):
             load_csv(p, drop_missing=True)
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        # a non-finite feature at row 3 comes before a sensitive 2 at row 5
+        p = tmp_path / "d.csv"
+        p.write_text("x0,sensitive,label\n1.0,0,1\ninf,1,0\n2.0,0,0\n3.0,2,1\n")
+        with pytest.raises(ParseError, match="non-finite value inf "
+                                             r"\(row 3, column 'x0'\)"):
+            load_csv(p)
 
 
 class TestExitCodeFuzz:
@@ -508,7 +524,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_rho_hat_sweep_summary_per_pair(self, tmp_path, capsys):
-        fast = ["--set", "synth_n=600", "--set", "tau_grid=0.05",
+        fast = ["--set", "synth_n=600", "--set", "tau_grid=0.02,0.05",
                 "--set", "repetitions=1", "--set", "methods=nocor,cor_scale",
                 "--set", "outer_iterations=6", "--set", "presolve_iterations=8"]
         out = tmp_path / "r.csv"
@@ -516,19 +532,29 @@ class TestSweep:
                      "--set", "noise_mode=rho_hat_sweep",
                      "--set", "rho_hat_grid=0.0:0.0,0.3:0.3"]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
-        assert [line.split()[:2] for line in lines] == [
-            ["cor_scale", "rho_hat=0:0"], ["cor_scale", "rho_hat=0.3:0.3"],
-            ["nocor", "tau=0.05"]]
-        # each line is its own pair's mean, as in the _agg file
-        agg = (tmp_path / "r_agg.csv").read_text().splitlines()
-        means = [f"violation={float(rec.split(',')[6]):.4f}" for rec in agg
-                 if rec.startswith("cor_scale") and ",test," in rec]
-        assert [line.split()[4] for line in lines[:2]] == means
+        # the _agg file's test rows, line for line, each method's by pair
+        # and then by tau (the file orders them by tau and then by pair)
+        with open(bench.agg_path(str(out)), newline="") as fh:
+            agg = {(g["method"], g["rho_plus_hat"], g["tau"]): g
+                   for g in csv.DictReader(fh) if g["split"] == "test"}
+        order = [("cor_scale", "0.0", "0.02"), ("cor_scale", "0.0", "0.05"),
+                 ("cor_scale", "0.3", "0.02"), ("cor_scale", "0.3", "0.05"),
+                 ("nocor", "", "0.02"), ("nocor", "", "0.05")]
+        assert sorted(agg) == sorted(order)
+        want = []
+        for method, rho, tau in order:
+            g = agg[method, rho, tau]
+            at = f"rho_hat={float(rho):g}:{float(rho):g}" if rho else ""
+            want.append([method, *([at] if at else []), f"tau={tau}", "test",
+                         f"violation={float(g['mean_fairness_violation']):.4f}",
+                         f"error={float(g['mean_error']):.4f}"])
+        assert [line.split() for line in lines] == want
         # known mode names no pair
         assert main(["sweep", "--out", str(out), *fast]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
         assert [line.split()[:2] for line in lines] == [
-            ["cor_scale", "tau=0.05"], ["nocor", "tau=0.05"]]
+            ["cor_scale", "tau=0.02"], ["cor_scale", "tau=0.05"],
+            ["nocor", "tau=0.02"], ["nocor", "tau=0.05"]]
 
     def _sweep_exits_2(self, tmp_path, monkeypatch, capsys, out):
         def run_sweep(*args, **kwargs):

@@ -60,6 +60,12 @@ class TestFitPosterior:
         with pytest.raises(EmptySlice, match="cannot fit a posterior"):
             fit_posterior(np.zeros((0, 2)), [])
 
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_one_group_rejected(self, group):
+        with pytest.raises(EmptySlice,
+                           match="^both apparent groups must be present$"):
+            fit_posterior(np.arange(8.0).reshape(4, 2), [group] * 4)
+
     @pytest.mark.parametrize("X, sensitive", [
         (np.zeros((4, 2)), [0, 1, 0]),
         (np.zeros((3, 2)), [0, 1, 0, 1]),

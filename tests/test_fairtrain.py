@@ -787,14 +787,14 @@ class TestReductionBitIdentity:
             t_ref, u_ref = _reference_targets_weights(data, loss, m0, m1, nu)
             assert t.dtype == t_ref.dtype and t.tobytes() == t_ref.tobytes()
             assert u.dtype == u_ref.dtype and u.tobytes() == u_ref.tobytes()
-            assert red.violation(red.ws.score) == _reference_violation(
+            assert red.violation(red.ws.score > 0) == _reference_violation(
                 data, loss, m0, m1, red.coef, red.intercept)
         assert len(seen) == len(self.NUS)
         for _ in range(5):
             coef = rng.normal(0.0, 1.0, 3)
             intercept = float(rng.normal(0.0, 0.5))
             score = data.features @ coef + intercept
-            assert red.violation(score) == _reference_violation(
+            assert red.violation(score > 0) == _reference_violation(
                 data, loss, m0, m1, coef, intercept)
 
     @pytest.mark.parametrize("criterion", [DP, EO])
@@ -808,7 +808,7 @@ class TestReductionBitIdentity:
             red.best_response(nu, iters)
             score = data.features @ red.coef + red.intercept
             assert red.ws.score.tobytes() == score.tobytes()
-            assert red.violation(red.ws.score) == red.violation(score)
+            assert red.violation(red.ws.score > 0) == red.violation(score > 0)
 
     def test_default_sweep_bytes_do_not_depend_on_jobs(self, tmp_path):
         outs = []
@@ -834,12 +834,12 @@ def test_warm_best_response_allocates_under_four_columns():
     red = _Reduction(data, FairnessLoss.ZERO_ONE,
                      *_criterion_masks(data, EO))
     red.best_response(0.0, 120)
-    red.violation(red.ws.score)
+    red.violation(red.ws.score > 0)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         red.best_response(0.5, 120)
-        red.violation(red.ws.score)
+        red.violation(red.ws.score > 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
