@@ -288,7 +288,7 @@ class ExperimentConfig:
     ``noise_mode`` selects how cor_scale / denoise obtain their rates:
     "known" uses the true injection rates, "estimate" runs the anchor-point
     estimator on the corrupted split, "rho_hat_sweep" sweeps the supplied
-    ``rho_hat_grid`` of (rho+, rho-) pairs (the estimate-error experiment).
+    ``rho_hat_grid`` of (rho+, rho-) pairs, which only that mode may set.
     """
 
     synthetic: SyntheticConfig = None
@@ -321,8 +321,6 @@ class ExperimentConfig:
             raise ValidationError("train_fraction must lie in (0, 1)")
         if self.noise_mode not in ("known", "estimate", "rho_hat_sweep"):
             raise ValidationError("unknown noise_mode")
-        if self.noise_mode == "rho_hat_sweep" and not self.rho_hat_grid:
-            raise ValidationError("rho_hat_sweep needs a nonempty rho_hat_grid")
         CCNNoise(self.rho_plus, self.rho_minus)
         for rp, rm in self.rho_hat_grid:
             CCNNoise(rp, rm)
@@ -336,6 +334,9 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValidationError(f"{name} lists {repeated[0]!r} twice")
+        if (self.noise_mode == "rho_hat_sweep") != bool(self.rho_hat_grid):
+            raise ValidationError("rho_hat_grid is nonempty exactly when "
+                                  "noise_mode = rho_hat_sweep")
 
 
 class ResultRow(NamedTuple):

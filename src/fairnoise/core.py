@@ -171,54 +171,71 @@ def _slice_mask(sensitive, target, a, y):
     return mask
 
 
-def _slice_means(data, scorer, loss, slices):
-    """Mean fairness loss over each (A, Y) slice in ``slices``: every row
-    is scored once and each slice's losses are counted with boolean masks.
+#: The (A, Y) slices, None for any value, whose mean fairness losses each
+#: criterion compares: slice 0 minus slice 1 is its signed violation.
+SLICES = {Criterion.DEMOGRAPHIC_PARITY: ((0, None), (1, None)),
+          Criterion.EQUAL_OPPORTUNITY: ((0, 1), (1, 1))}
 
-    Raises ``EmptySlice`` for the first slice that holds no examples.
-    """
+
+def slice_masks(data, slices):
+    """Row masks and row counts of the (A, Y) ``slices`` of a dataset;
+    raises ``EmptySlice`` for the first slice that holds no examples."""
     data._require_nonempty()
     masks = [_slice_mask(data.sensitive, data.target, a, y) for a, y in slices]
     counts = [np.count_nonzero(mask) for mask in masks]
     for (a, y), count in zip(slices, counts):
         if not count:
             raise EmptySlice(f"slice sensitive={a}, target={y} is empty")
-    pos = np.asarray(scorer.scores(data.features)) > 0
+    return masks, counts
+
+
+def fairness_losses(loss, pos, target):
+    """The rows whose 0-1 fairness loss is 1, given the predictions ``pos``
+    (true where the score is positive) and the targets."""
     if loss == FairnessLoss.PREDICT_NONPOSITIVE:
-        bad = ~pos
-    elif loss == FairnessLoss.ZERO_ONE:
-        bad = pos != data.target
-    else:
-        raise ValidationError(f"unknown fairness loss {loss!r}")
+        return ~pos
+    if loss == FairnessLoss.ZERO_ONE:
+        return pos != target
+    raise ValidationError(f"unknown fairness loss {loss!r}")
+
+
+def slice_means(bad, masks, counts):
+    """Mean of the per-row losses ``bad`` over each ``slice_masks`` slice."""
     return [float(np.count_nonzero(bad & mask) / count)
             for mask, count in zip(masks, counts)]
 
 
-def mean_fairness_loss(data, scorer, loss, sensitive=None, target=None):
-    """Mean fairness loss over the (A, Y) slice of a dataset.
+def _scorer_means(data, scorer, loss, slices):
+    """Mean fairness loss of ``scorer`` over each (A, Y) slice."""
+    masks, counts = slice_masks(data, slices)
+    pos = np.asarray(scorer.scores(data.features)) > 0
+    return slice_means(fairness_losses(loss, pos, data.target), masks, counts)
 
-    Raises ``EmptySlice`` when the slice holds no examples.
-    """
-    return _slice_means(data, scorer, loss, [(sensitive, target)])[0]
+
+def mean_fairness_loss(data, scorer, loss, sensitive=None, target=None):
+    """Mean fairness loss over the (A, Y) slice of a dataset; raises
+    ``EmptySlice`` when the slice holds no examples."""
+    return _scorer_means(data, scorer, loss, [(sensitive, target)])[0]
+
+
+def _gap(data, scorer, loss, criterion):
+    m0, m1 = _scorer_means(data, scorer, loss, SLICES[criterion])
+    return abs(m0 - m1)
 
 
 def ddp(data, scorer, loss=FairnessLoss.PREDICT_NONPOSITIVE):
     """Disparity of demographic parity: |mean loss at A=0 - mean loss at A=1|."""
-    m0, m1 = _slice_means(data, scorer, loss, [(0, None), (1, None)])
-    return abs(m0 - m1)
+    return _gap(data, scorer, loss, Criterion.DEMOGRAPHIC_PARITY)
 
 
 def deo(data, scorer, loss=FairnessLoss.ZERO_ONE):
     """Disparity of equality of opportunity: group loss gap on the Y=1 slice."""
-    m0, m1 = _slice_means(data, scorer, loss, [(0, 1), (1, 1)])
-    return abs(m0 - m1)
+    return _gap(data, scorer, loss, Criterion.EQUAL_OPPORTUNITY)
 
 
 def disparity(data, scorer, spec):
     """The mean-difference score selected by a FairnessSpec."""
-    if spec.criterion == Criterion.DEMOGRAPHIC_PARITY:
-        return ddp(data, scorer, spec.fairness_loss)
-    return deo(data, scorer, spec.fairness_loss)
+    return _gap(data, scorer, spec.fairness_loss, spec.criterion)
 
 
 def accuracy_risk(data, scorer):

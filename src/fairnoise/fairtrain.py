@@ -14,17 +14,19 @@ internal tolerance shrunk by a small margin that absorbs the
 boundary-riding generalization gap: a doubling search brackets it in
 [hi / 2, hi] (or [0, hi] when its first probe is feasible), starting at
 the largest power of two at which no row's fairness weight nu / n_k
-exceeds its accuracy weight 1 / n, then halvings narrow the bracket to a
-width of hi * 2**-18 (by default). Once the fits at the bracket ends
-predict differently on one counted row only, the violation jumps where
-that row's score crosses zero, and a safeguarded secant (after Dowell
-and Jarratt, BIT 1971) places two steps that width apart around the
-interpolated crossing; when they do not close the bracket, the halving
-resumes. Each step starts from the fits at the bracket ends interpolated
-in the dual, so a deep step converges at its first gradient. A default
-training returns the one best response at the bracket's feasible end.
-Each presolve step is an exact fit that depends only on the data,
-criterion, loss, its dual and its warm start, which the path of earlier
+exceeds its accuracy weight 1 / n and capped at the dual bound B, which
+it probes (an infeasible fit at B ends the presolve there); then
+halvings narrow the bracket to a width of hi * 2**-18 (by default). Once
+the fits at the bracket ends predict differently on one counted row
+only, the violation jumps where that row's score crosses zero, and a
+safeguarded secant (after Dowell and Jarratt, BIT 1971) places two steps
+that width apart around the interpolated crossing; when they do not
+close the bracket, the halving resumes. Each step starts from the fits
+at the bracket ends interpolated in the dual, so a deep step converges
+at its first gradient. A default training returns the one best response
+at the returned dual, started from the presolve's fit there. Each
+presolve step is an exact fit that depends only on the data, criterion,
+loss, its dual and its warm start, which the path of earlier
 accept/reject decisions fixes; so trainings that differ only in
 tolerance walk one bisection tree until their decisions split, and given
 a caller-owned memo they fit each shared step once and reuse it bit for
@@ -45,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._logit import Workspace, fit_logistic
-from .core import Criterion, FairnessLoss, LinearScorer
+from .core import (SLICES, Criterion, LinearScorer, fairness_losses,
+                   slice_masks, slice_means)
 from .errors import (EmptySlice, InfeasibleWarning, NumericalError,
                      ValidationError)
 from .estimation import estimate_ccn_rates, estimate_eo_rates
@@ -79,11 +82,11 @@ class TrainConfig:
     to three. ``presolve_iterations`` sets a width rule: the returned dual
     is within ``hi * 2**-presolve_iterations`` of the boundary, where
     ``hi`` is the doubling bracket's top: the first of nu_1, 2 nu_1, 4
-    nu_1, ... whose fit is feasible, capped at the dual bound, where nu_1
-    is the largest power of two at most ``min(n0, n1) / n`` for slices of
-    n0 and n1 of the n rows. The bracket narrows by at most that many
-    halvings plus the secant's two steps, so by at most
-    ``presolve_iterations + 2`` fits. Training is deterministic.
+    nu_1, ..., capped at the dual bound, whose fit is feasible (nu_1 is
+    the largest power of two at most ``min(n0, n1) / n`` for slices of n0
+    and n1 of the n rows). At most that many halvings plus the secant's
+    two steps follow; an infeasible fit at the bound is returned before
+    any. Training is deterministic.
     """
 
     outer_iterations: int = 1
@@ -130,63 +133,47 @@ class FairClassifier(LinearScorer):
         return len(self.coef)
 
 
-def _criterion_masks(data, criterion):
-    a, y = data.sensitive, data.target
-    if criterion == Criterion.DEMOGRAPHIC_PARITY:
-        m0, m1 = a == 0, a == 1
-        what = "sensitive group"
-    else:
-        m0, m1 = (a == 0) & (y == 1), (a == 1) & (y == 1)
-        what = "(sensitive, Y=1) group"
-    if not m0.any() or not m1.any():
-        raise EmptySlice(f"training needs both {what}s present")
-    return m0, m1
-
-
 _CELL_Y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])  # y of cells 0..5
 
 
 class _Reduction:
-    """Best-response machinery shared by the presolve and the dual loop.
+    """Best-response machinery shared by the presolve and the dual loop,
+    for the constraint of ``core``: the criterion's ``SLICES`` and the
+    loss's ``fairness_losses``.
 
     Every row falls in one of six cells, coded ``2 * class + y`` with class
     0 outside both slices, 1 in slice 0 and 2 in slice 1. A best response
     weights and targets rows by cell alone, so each fit builds a 6-entry
     weight and target table and gathers it through the row code into
-    the training's one ``Workspace``, which every fit reuses;
-    ``violation`` counts the 0-1 fairness losses directly.
+    the training's one ``Workspace``, which every fit reuses.
     """
 
-    def __init__(self, data, loss, m0, m1, memo=None, root=()):
-        self.X = data.features
+    def __init__(self, data, criterion, loss, memo=None):
+        self.masks, self.counts = slice_masks(data, SLICES[criterion])
+        self.X, self.loss = data.features, loss
         self.positive = data.target == 1
-        self.loss = loss
-        self.m0, self.m1 = m0, m1
-        self.n0, self.n1 = int(m0.sum()), int(m1.sum())
         self.n = len(data)
         self.coef = np.zeros(data.dimension)
         self.intercept = 0.0
-        cls = np.zeros(self.n, dtype=np.intp)
-        cls[m0] = 1
-        cls[m1] = 2
+        cls = self.masks[0] + 2 * self.masks[1]  # the slices are disjoint
         self.code = 2 * cls + data.target
         self.counted = cls > 0  # the rows whose losses the violation counts
+        # per cell, whether the loss counts a positive prediction
+        self.loses_pos = fairness_losses(loss, np.ones(6, bool), _CELL_Y)
         self.ws = Workspace(self.n)
         self.memo = {} if memo is None else memo
-        self.key = root
+        self.key = (data, criterion, loss)
 
     def best_response(self, nu, iters):
         # Fairness cost +nu/n0 on slice-0 losses, -nu/n1 on slice-1 losses,
         # folded with the 1/n accuracy term into weights and soft targets,
         # one entry per (class, y) cell.
-        c0, c1 = nu / self.n0, -nu / self.n1
+        c0, c1 = nu / self.counts[0], -nu / self.counts[1]
         c = np.array([0.0, 0.0, c0, c0, c1, c1])
         y = _CELL_Y
         push = np.abs(c)
-        if self.loss == FairnessLoss.PREDICT_NONPOSITIVE:
-            push_label = (c > 0).astype(float)
-        else:
-            push_label = np.where(c > 0, y, 1.0 - y)
+        # a positive cost pushes toward the prediction the loss spares
+        push_label = (c > 0) != self.loses_pos
         u = 1.0 / self.n + push
         t = (y / self.n + push * push_label) / u
         ws = self.ws
@@ -226,15 +213,13 @@ class _Reduction:
         return fit[2]
 
     def violation(self, pos):
-        """Signed 0-1 violation of the training predictions ``pos`` (a
-        boolean array, true where the score is positive): slice-0 minus
-        slice-1 mean fairness loss. Right after a best response,
-        ``ws.score`` holds the fit's own final score, bitwise
-        ``X @ coef + intercept``, so the trainer predicts from it."""
-        bad = (~pos if self.loss == FairnessLoss.PREDICT_NONPOSITIVE
-               else pos != self.positive)
-        return (np.count_nonzero(bad & self.m0) / self.n0
-                - np.count_nonzero(bad & self.m1) / self.n1)
+        """Signed 0-1 violation of the training predictions ``pos`` (true
+        where the score is positive). Right after a best response,
+        ``ws.score`` is bitwise ``X @ coef + intercept``, so the trainer
+        predicts from it."""
+        m0, m1 = slice_means(fairness_losses(self.loss, pos, self.positive),
+                             self.masks, self.counts)
+        return m0 - m1
 
 
 # A presolve fit at a bracket end: its dual magnitude, its fit and its
@@ -282,18 +267,19 @@ def _presolve(red, tau_int, config):
     row's fairness weight ``nu / n_k`` exceeds its accuracy weight ``1 /
     n``, so at most 0.5, and each step starts from the previous fit; each
     infeasible probe becomes the bracket's lower end. Both depend only on
-    the data and the criterion, so trainings at other tolerances share
-    the doubling, and powers of two keep every later midpoint exact. Then
-    one midpoint per level narrows the bracket toward ``width = hi *
-    2**-presolve_iterations`` until one secant attempt can start
-    (``_secant_probes``); its two steps usually close the bracket, else
-    the halving resumes, so at most ``presolve_iterations + 2`` steps
-    follow the doubling. A step starts from the fit interpolated at its
-    dual through the bracket ends and the end replaced last (the chord
-    until an end has been replaced), O(width^3) from its answer because
-    the fit is smooth in the dual. The fit at the upper end is left as
-    the warm start of the final best response, which a converged fit at
-    the returned dual ends at its first gradient.
+    the data and the criterion, so trainings at other tolerances share the
+    doubling, and powers of two keep every later midpoint exact. The
+    doubling ends at the dual bound, which it probes; an infeasible fit
+    there is returned. Then one midpoint per level narrows the bracket
+    toward ``width = hi * 2**-presolve_iterations`` until one secant
+    attempt can start (``_secant_probes``); its two steps usually close the
+    bracket, else the halving resumes, so at most
+    ``presolve_iterations + 2`` steps follow the doubling. A step starts
+    from the fit interpolated at its dual through the bracket ends and the
+    end replaced last (the chord until an end has been replaced),
+    O(width^3) from its answer because the fit is smooth in the dual.
+    Every returned dual was fitted, and its fit is left as the warm start
+    of the final best response, which it ends at its first gradient.
     """
     iters = config.presolve_base_iterations
     v0 = red.presolve_step(0.0, 4 * iters)
@@ -301,14 +287,13 @@ def _presolve(red, tau_int, config):
         return 0.0
     lo = _End(0.0, red.coef, red.intercept, red.pos)
     sgn = 1.0 if v0 > 0 else -1.0
-    top = 2.0 ** math.floor(math.log2(min(red.n0, red.n1) / red.n))
-    while top < _DUAL_BOUND:
-        v = red.presolve_step(sgn * top, iters)
-        if sgn * v <= tau_int:
-            break
+    top = 2.0 ** math.floor(math.log2(min(red.counts) / red.n))
+    while sgn * red.presolve_step(sgn * top, iters) > tau_int:
+        if top == _DUAL_BOUND:
+            return sgn * top
         lo = _End(top, red.coef, red.intercept, red.pos)
-        top *= 2.0
-    hi = _End(min(top, _DUAL_BOUND), red.coef, red.intercept, red.pos)
+        top = min(2.0 * top, _DUAL_BOUND)
+    hi = _End(top, red.coef, red.intercept, red.pos)
     width = hi.nu * 2.0 ** -config.presolve_iterations
     old = probes = None  # the end replaced last; the secant's duals
     levels = 0
@@ -337,11 +322,8 @@ def _presolve(red, tau_int, config):
 
 
 def _train(data, criterion, loss, tau, config, memo=None):
-    if len(data) == 0:
-        raise EmptySlice("cannot train on empty data")
-    m0, m1 = _criterion_masks(data, criterion)
     tau_int = max(0.0, tau - _BOUNDARY_MARGIN)
-    red = _Reduction(data, loss, m0, m1, memo, root=(data, criterion, loss))
+    red = _Reduction(data, criterion, loss, memo)
 
     nu0 = _presolve(red, tau_int, config)
     lam_p = min(_DUAL_BOUND, max(nu0, 1e-12))

@@ -466,6 +466,16 @@ class TestDuplicateEntries:
         assert str(info.value) == f"{field} lists {repeated} twice"
 
 
+@pytest.mark.parametrize("noise_mode", ["known", "estimate"])
+def test_a_rho_hat_grid_outside_its_sweep_is_rejected(noise_mode):
+    # the grid would be ignored: cor_scale trains at the known or
+    # estimated rates
+    with pytest.raises(ValidationError,
+                       match="^rho_hat_grid is nonempty exactly when "
+                             "noise_mode = rho_hat_sweep$"):
+        small_config(noise_mode=noise_mode, rho_hat_grid=((0.3, 0.3),))
+
+
 class TestEmitResults:
     def test_schema_and_round_trip(self, tmp_path):
         cfg = small_config(tau_grid=(0.1,), repetitions=1)
@@ -609,14 +619,18 @@ class TestConfigSchema:
         default_leaves = _config_leaves(default)
         default_mapping = config_to_mapping(default)
         for key, value in NON_DEFAULT_SETTINGS.items():
-            cfg = build_experiment_config({key: value})
+            # a rho-hat grid is set only with the mode that sweeps it
+            settings = {key: value, **({"noise_mode": "rho_hat_sweep"}
+                                       if key == "rho_hat_grid" else {})}
+            cfg = build_experiment_config(settings)
             leaves = _config_leaves(cfg)
             changed = [f for f in leaves if leaves[f] != default_leaves[f]]
-            assert len(changed) == 1, (key, changed)
+            assert len(changed) == len(settings), (key, changed)
             mapping = config_to_mapping(cfg)
-            assert mapping[key] == value
-            assert {k for k in mapping.keys() | default_mapping.keys()
-                    if mapping.get(k) != default_mapping.get(k)} == {key}
+            assert all(mapping[k] == v for k, v in settings.items())
+            assert set(settings) == {
+                k for k in mapping.keys() | default_mapping.keys()
+                if mapping.get(k) != default_mapping.get(k)}
 
     @pytest.mark.parametrize("mapping", [
         {"data": "parquet"}, {"data": "csv"}, {"csv_path": "x.csv"},

@@ -22,7 +22,9 @@ from fairnoise.bench import (anchor_synthetic_config,
 from fairnoise.cli import main
 from fairnoise.core import Dataset
 from fairnoise.errors import PairingWarning, ParseError
+from fairnoise.estimation import estimate_eo_rates
 from fairnoise.fairtrain import FairClassifier, save_model
+from fairnoise.noise import CCNNoise, inject_ccn
 
 
 @pytest.fixture()
@@ -219,6 +221,18 @@ class TestEstimate:
         # the estimate must fail, not print the rates of the unfitted start
         assert main(["estimate", "--input", str(big_csv)] + flags) == 3
         assert "posterior fit overflowed" in capsys.readouterr().err
+
+    def test_eo_rates_written(self, tmp_path, capsys):
+        data = synth_generate(anchor_synthetic_config(n=4000, seed=15))
+        src = tmp_path / "corrupted.csv"
+        write_csv(inject_ccn(data, CCNNoise(0.2, 0.1), 3), src)
+        out = tmp_path / "rates.txt"
+        assert main(["estimate", "--eo", "--input", str(src),
+                     "--out", str(out)]) == 0
+        est = estimate_eo_rates(load_csv(src))
+        assert out.read_text() == (f"alpha_prime = {est.alpha_prime!r}\n"
+                                   f"beta_prime = {est.beta_prime!r}\n")
+        assert capsys.readouterr().out.endswith(f"wrote {out}\n")
 
     def test_eo_slice_with_one_apparent_group_exits_2(self, tmp_path, capsys):
         # both groups are present, but every Y=1 row reports A=1
@@ -490,6 +504,17 @@ class TestSweep:
                    "--out", str(out)])
         assert rc == 1
         assert "twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--set", "noise_mode=estimate"]])
+    def test_rho_hat_grid_without_its_sweep_is_a_usage_error(
+            self, tmp_path, capsys, mode):
+        out = tmp_path / "results.csv"
+        rc = main(["sweep", "--set", "repetitions=1", "--set",
+                   "rho_hat_grid=0.3:0.3", "--set", "methods=cor_scale",
+                   "--set", "tau_grid=0.05", *mode, "--out", str(out)])
+        assert rc == 1
+        assert "noise_mode = rho_hat_sweep" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,10 +4,11 @@ quantile extrema."""
 import numpy as np
 import pytest
 
+from fairnoise import estimation
 from fairnoise.bench import anchor_synthetic_config, synth_generate
 from fairnoise.core import Dataset
 from fairnoise.errors import (DegenerateEstimateWarning, EmptySlice,
-                              ValidationError)
+                              NonConvergenceWarning, ValidationError)
 from fairnoise.estimation import (ccn_design, estimate_ccn_rates,
                                   estimate_eo_rates, fit_posterior)
 from fairnoise.noise import CCNNoise, ccn_to_mc, inject_ccn, mc_to_eo
@@ -50,6 +51,16 @@ class TestFitPosterior:
         X = ccn_design(Dataset(np.ones((8, 2)), a, np.zeros(8, dtype=int)))
         eta = fit_posterior(X, a).predict_proba(X)
         assert np.all(eta == a.mean())
+
+    def test_unmet_tolerance_warns_and_reports_no_convergence(
+            self, monkeypatch):
+        # no fit reaches a gradient norm of 0, so this one stops at its cap
+        monkeypatch.setattr(estimation, "_GRAD_TOL", 0.0)
+        data = anchor_data(n=2000)
+        with pytest.warns(NonConvergenceWarning,
+                          match="posterior fit stopped after"):
+            model = fit_posterior(ccn_design(data), data.sensitive)
+        assert model.converged is False
 
     def test_empty_y1_slice(self):
         data = Dataset(np.zeros((3, 1)), [0, 1, 0], [0, 0, 0])

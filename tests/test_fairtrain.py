@@ -16,20 +16,21 @@ from fairnoise.bench import (ExperimentConfig, default_experiment_config,
                              disparity_synthetic_config, run_sweep,
                              synth_generate)
 from fairnoise.cli import main
-from fairnoise.core import (Criterion, Dataset, FairnessLoss, FairnessSpec,
-                            LinearScorer, accuracy_risk, ddp, deo,
-                            mean_fairness_loss, predictions)
+from fairnoise.core import (SLICES, Criterion, Dataset, FairnessLoss,
+                            FairnessSpec, LinearScorer, accuracy_risk, ddp,
+                            deo, mean_fairness_loss, predictions, slice_masks)
 from fairnoise.errors import (EmptySlice, InfeasibleWarning, NumericalError,
                               PairingWarning, ValidationError)
+from fairnoise.estimation import estimate_eo_rates
 from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _DUAL_BOUND,
                                  _FEASIBILITY_SLACK, _REGULARIZATION,
                                  TrainConfig,
                                  _clean_conditionals_from_corrupted,
-                                 _criterion_masks, _Reduction, _resolve_noise,
+                                 _Reduction, _resolve_noise,
                                  load_model, save_model, train_fair,
                                  train_fair_noisy)
 from fairnoise.noise import (CCNNoise, EOConditionalNoise, MCNoise,
-                             ccn_to_mc_from_corrupted, inject_ccn,
+                             ccn_to_mc_from_corrupted, inject_ccn, mc_to_eo,
                              scale_tolerance)
 
 from _oracles import (corrupt, fairness_loss_values,
@@ -357,7 +358,7 @@ class TestChordPresolve:
             # fairness weight nu / n_k stays within the accuracy weight 1 / n
             # on both slices, and ends at its first feasible fit; a secant
             # attempt adds at most two steps to the bisection's depth
-            n_min = min(m.sum() for m in _criterion_masks(data, criterion))
+            n_min = min(slice_masks(data, SLICES[criterion])[1])
             nu_1 = max(2.0 ** k for k in range(-40, 1)
                        if 2.0 ** k * len(data) <= n_min)
             assert nu_1 == 0.125  # slices of 189 (DP) and 117 (EO) of 800
@@ -493,32 +494,99 @@ def _bisection_presolve(red, tau_int, config):
     """The presolve before the secant and the interpolated warm starts: the
     same doubling, then halvings to the same width, each started from the
     chord midpoint."""
-    v0 = red.presolve_step(0.0, 4 * config.presolve_base_iterations)
+    iters = config.presolve_base_iterations
+    v0 = red.presolve_step(0.0, 4 * iters)
     if abs(v0) <= tau_int:
         return 0.0
     lo, lo_fit = 0.0, (red.coef, red.intercept)
     sgn = 1.0 if v0 > 0 else -1.0
-    hi = 2.0 ** math.floor(math.log2(min(red.n0, red.n1) / red.n))
-    while hi < _DUAL_BOUND:
-        v = red.presolve_step(sgn * hi, config.presolve_base_iterations)
-        if sgn * v <= tau_int:
-            break
+    hi = 2.0 ** math.floor(math.log2(min(red.counts) / red.n))
+    while sgn * red.presolve_step(sgn * hi, iters) > tau_int:
+        if hi == _DUAL_BOUND:
+            return sgn * hi
         lo, lo_fit = hi, (red.coef, red.intercept)
-        hi *= 2.0
+        hi = min(2.0 * hi, _DUAL_BOUND)
     hi_fit = red.coef, red.intercept
-    hi = min(hi, _DUAL_BOUND)
     width = hi * 2.0 ** -config.presolve_iterations
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         red.coef = 0.5 * (lo_fit[0] + hi_fit[0])
         red.intercept = 0.5 * (lo_fit[1] + hi_fit[1])
-        v = red.presolve_step(sgn * mid, config.presolve_base_iterations)
+        v = red.presolve_step(sgn * mid, iters)
         if sgn * v <= tau_int:
             hi, hi_fit = mid, (red.coef, red.intercept)
         else:
             lo, lo_fit = mid, (red.coef, red.intercept)
     red.coef, red.intercept = hi_fit
     return sgn * hi
+
+
+def _small_grid_data(seed):
+    """A seeded data set of 6 to 59 rows, two features at one of three
+    scales, with every (A, Y) cell present."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 60))
+    X = rng.normal(size=(n, 2)) * (0.3, 1.0, 3.0)[seed % 3]
+    a, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    a[:4], y[:4] = (0, 1, 0, 1), (1, 1, 0, 0)
+    return Dataset(X, a, y)
+
+
+class TestBracketAtTheBound:
+    """The doubling probes the dual bound itself, so every dual the
+    presolve returns was fitted, and the final best response starts from
+    a converged fit at that dual."""
+
+    def test_an_infeasible_bound_ends_the_presolve(self, monkeypatch):
+        rng = np.random.default_rng(105)
+        n = int(rng.integers(6, 60))
+        X = rng.normal(size=(n, 2))
+        a, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        a[0], a[1] = 0, 1
+        data = Dataset(X, a, y)
+        assert n == 21
+        step = _Reduction.presolve_step
+        duals = []
+
+        def recording_step(red, nu, iters):
+            duals.append(abs(nu))
+            return step(red, nu, iters)
+
+        monkeypatch.setattr(_Reduction, "presolve_step", recording_step)
+        with pytest.warns(InfeasibleWarning):
+            model = train_fair(data, FairnessSpec(DP, tolerance=0.0))
+        # 28 steps when the doubling stopped at 64 and the bisection of
+        # (64, 100] started from the fit at 64, 18 of them above 64
+        assert len(duals) <= 11
+        assert duals[-2:] == [64.0, _DUAL_BOUND]
+        assert not model.trace.feasible
+
+    def test_every_training_returns_its_presolve_end_fit(self, monkeypatch):
+        presolve = fairtrain._presolve
+        ends = []
+
+        def recording_presolve(red, tau_int, config):
+            nu = presolve(red, tau_int, config)
+            ends.append((nu, red.coef.copy(), red.intercept))
+            return nu
+
+        monkeypatch.setattr(fairtrain, "_presolve", recording_presolve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InfeasibleWarning)
+            for seed in range(100):
+                data = _small_grid_data(seed)
+                for criterion in (DP, EO):
+                    for loss in FairnessLoss:
+                        for spec in _specs(criterion, loss, (0.0, 0.02, 0.1)):
+                            model = train_fair(data, spec)
+                            _, coef, intercept = ends[-1]
+                            assert (model.coef.tobytes() == coef.tobytes()
+                                    and model.intercept == intercept), (
+                                seed, spec)
+        assert len(ends) == 1200
+        # the grid reaches the bound: 19 trainings whose model differed
+        # from the end fit when the doubling stopped short of it
+        assert sum(abs(nu) == _DUAL_BOUND for nu, _, _ in ends) == 19
 
 
 class TestTrainFairNoisy:
@@ -564,6 +632,25 @@ class TestTrainFairNoisy:
         with pytest.raises(EmptySlice, match="Y=1 slice is empty"):
             train_fair_noisy(data, FairnessSpec(EO, tolerance=0.1),
                              CCNNoise(0.1, 0.1), FAST)
+
+    def test_eo_mc_noise_resolved_through_the_clean_conditionals(
+            self, synth_data):
+        mc = MCNoise(0.1, 0.05)
+        model = train_fair_noisy(synth_data, FairnessSpec(EO, tolerance=0.2),
+                                 mc, FAST)
+        eo = mc_to_eo(mc, *_clean_conditionals_from_corrupted(mc, synth_data))
+        assert model.trace.tau == scale_tolerance(0.2, eo)
+        assert model.trace.noise_used == (eo.alpha_prime, eo.beta_prime)
+
+    def test_eo_estimated_noise_is_the_eo_rate_estimate(self):
+        from fairnoise.bench import anchor_synthetic_config
+        data = synth_generate(anchor_synthetic_config(n=4000, seed=9))
+        corrupted = inject_ccn(data, CCNNoise(0.2, 0.1), 6)
+        model = train_fair_noisy(corrupted, FairnessSpec(EO, tolerance=0.2),
+                                 None, FAST)
+        est = estimate_eo_rates(corrupted)
+        assert model.trace.tau == scale_tolerance(0.2, est)
+        assert model.trace.noise_used == (est.alpha_prime, est.beta_prime)
 
     def test_eo_conditional_noise_scaling(self, synth_data):
         spec = FairnessSpec(EO, tolerance=0.2)
@@ -770,10 +857,10 @@ class TestReductionBitIdentity:
         a, y = rng.integers(0, 2, n), rng.integers(0, 2, n)
         a[:4], y[:4] = (0, 1, 0, 1), (1, 1, 0, 0)  # every (A, Y) cell present
         data = Dataset(rng.normal(0.0, 1.5, (n, 3)), a, y)
-        m0, m1 = _criterion_masks(data, criterion)
+        m0, m1 = slice_masks(data, SLICES[criterion])[0]
         if criterion == EO:
             assert not (m0 | m1).all()  # rows outside both slices
-        red = _Reduction(data, loss, m0, m1)
+        red = _Reduction(data, criterion, loss)
         seen = []
 
         def spy(X, t, u, **kwargs):
@@ -803,7 +890,7 @@ class TestReductionBitIdentity:
         # the fit's own final score is bitwise X @ coef + intercept, so the
         # violation counted from it is the recomputed one
         data = synth_generate(disparity_synthetic_config(n=2000, seed=3))
-        red = _Reduction(data, loss, *_criterion_masks(data, criterion))
+        red = _Reduction(data, criterion, loss)
         for nu, iters in ((0.0, 120), (2.0, 3), (-1.5, 120), (0.25, 1)):
             red.best_response(nu, iters)
             score = data.features @ red.coef + red.intercept
@@ -831,8 +918,7 @@ def test_warm_best_response_allocates_under_four_columns():
     # tracemalloc counts bytes requested, so the bound is deterministic.
     data = synth_generate(disparity_synthetic_config(n=20000, seed=5))
     n = len(data)
-    red = _Reduction(data, FairnessLoss.ZERO_ONE,
-                     *_criterion_masks(data, EO))
+    red = _Reduction(data, EO, FairnessLoss.ZERO_ONE)
     red.best_response(0.0, 120)
     red.violation(red.ws.score > 0)
     tracemalloc.start()
