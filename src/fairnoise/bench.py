@@ -255,13 +255,78 @@ def csv_feature_names(path):
     return [h for h in header if h not in ("sensitive", "label")]
 
 
+def splice_sensitive(path, out_path, parsed, sensitive):
+    """Copy the CSV ``path`` to ``out_path`` with each data line's
+    `sensitive` cell set to the matching bit of ``sensitive`` and every
+    other byte kept, and return True; ``parsed`` is the sensitive column
+    ``load_csv`` read from ``path``.
+
+    Return False, leaving ``out_path`` for the caller to overwrite, unless
+    the file is plain enough for the lines to be the loaded rows: its
+    body holds no ``"``, each data line has one comma fewer than the
+    header has columns, each sensitive cell is the one byte ``0`` or ``1``
+    of its bit in ``parsed``, and there is one data line per row (so a
+    row ``drop_missing`` removed, or a cell such as ``1.0``, returns
+    False). The file is copied ``_READ_BLOCK`` bytes at a time; when
+    ``out_path`` is ``path``, the lines are patched in place.
+    """
+    with open(path, "rb") as src:
+        head = src.readline()
+        try:
+            header = [h.strip() for h in next(csv.reader([head.decode()]))]
+            a_col = _columns(header)[0]
+        except (ValueError, csv.Error, SchemaError):
+            return False
+        width = len(header) - 1  # commas per data line
+        same = os.path.exists(out_path) and os.path.samefile(path, out_path)
+        with open(out_path, "r+b" if same else "wb") as dst:
+            dst.write(head)
+            rows, rest = 0, b""
+            while True:
+                block = src.read(_READ_BLOCK)
+                lines = rest + block
+                cut = lines.rfind(b"\n") + 1 if block else len(lines)
+                lines, rest = lines[:cut], lines[cut:]
+                arr = np.frombuffer(lines, np.uint8)
+                ends = np.flatnonzero(arr == ord("\n"))
+                if arr.size and arr[-1] != ord("\n"):
+                    ends = np.append(ends, arr.size)  # the file's last line
+                n = len(ends)
+                commas = np.flatnonzero(arr == ord(","))
+                if (b'"' in lines or rows + n > len(parsed)
+                        or len(commas) != n * width):
+                    return False
+                # the commas are sorted and n * width in all, so each line
+                # has width of them when its first and last lie inside it
+                commas = commas.reshape(n, width)
+                starts = np.concatenate(([0], ends + 1))[:n]
+                if not ((commas[:, 0] >= starts).all()
+                        and (commas[:, -1] < ends).all()):
+                    return False
+                first = starts if a_col == 0 else commas[:, a_col - 1] + 1
+                last = (commas[:, a_col] if a_col < width
+                        else ends - (arr[ends - 1] == ord("\r")))
+                if not ((last - first == 1).all() and (
+                        arr[first] == parsed[rows:rows + n] + ord("0")).all()):
+                    return False
+                out = arr.copy()
+                out[first] = sensitive[rows:rows + n] + ord("0")
+                dst.write(out)
+                rows += n
+                if not block:
+                    return rows == len(parsed)
+
+
 def write_csv(data, path, feature_names=None):
     """Write a dataset as CSV (features, then sensitive, then label).
 
     Floats use repr, so a write-then-load round trip is bit-exact. The
     bytes are those of a `csv.writer` row per example (``\\r\\n`` line
     ends, no quoting, since no float repr or 0/1 needs it); the rows are
-    formatted column-wise, ``_WRITE_CHUNK`` rows at a time.
+    formatted column-wise, ``_WRITE_CHUNK`` rows at a time. Besides the
+    code that makes input files (perfbench's set-up, CI and the tests),
+    only ``corrupt`` still calls it, where ``splice_sensitive`` cannot copy
+    its input.
     """
     d = data.dimension
     names = list(feature_names) if feature_names else [f"x{i}" for i in range(d)]
@@ -469,20 +534,26 @@ def run_sweep(config, jobs=1):
     derived seeds; with ``jobs`` > 1, several run as one task each in up
     to ``jobs`` worker processes. Identical configs yield identical rows.
     A worker returns the warnings its repetition raised, and this process
-    warns them again in repetition order, so what is shown or raised does
-    not depend on ``jobs``.
+    warns them again as each repetition arrives, in repetition order, so
+    what is shown or raised does not depend on ``jobs``; a warning raised
+    as an error cancels the repetitions no worker has started.
     """
     run = partial(run_cell, config, _load_data(config))
     reps = range(config.repetitions)
     if min(jobs, len(reps)) <= 1:
         return [row for chunk in map(run, reps) for row in chunk]
     from concurrent.futures import ProcessPoolExecutor  # 12 ms of a CLI start
+    rows = []
     with ProcessPoolExecutor(max_workers=min(jobs, len(reps))) as pool:
-        done = list(pool.map(partial(_run_recording, run), reps))
-    for _, caught in done:
-        for warning in caught:
-            _warn_again(*warning)
-    return [row for chunk, _ in done for row in chunk]
+        try:
+            for chunk, caught in pool.map(partial(_run_recording, run), reps):
+                for warning in caught:
+                    _warn_again(*warning)
+                rows += chunk
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return rows
 
 
 def _run_recording(run, rep):

@@ -111,8 +111,10 @@ def _cmd_corrupt(args):
     data = bench.load_csv(args.input, drop_missing=args.drop_missing)
     noise = CCNNoise(args.rho_plus, args.rho_minus)
     corrupted = inject_ccn(data, noise, args.seed)
-    bench.write_csv(corrupted, args.output,
-                    bench.csv_feature_names(args.input))
+    if not bench.splice_sensitive(args.input, args.output, data.sensitive,
+                                  corrupted.sensitive):
+        bench.write_csv(corrupted, args.output,
+                        bench.csv_feature_names(args.input))
     flipped = data.sensitive != corrupted.sensitive
     n1 = int((data.sensitive == 1).sum())
     n0 = len(data) - n1

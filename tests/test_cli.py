@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +18,12 @@ import pytest
 from _random_cases import (FILE_MUTATIONS, csv_load_outcome, mutate_file_text,
                            row_parser_load)
 from fairnoise import bench, cli
-from fairnoise.bench import (anchor_synthetic_config,
+from fairnoise.bench import (ExperimentConfig, anchor_synthetic_config,
                              disparity_synthetic_config, load_csv,
-                             read_results, synth_generate, write_csv)
+                             read_results, run_cell, synth_generate,
+                             write_csv)
 from fairnoise.cli import main
-from fairnoise.core import Dataset
+from fairnoise.core import Dataset, FairnessLoss
 from fairnoise.errors import PairingWarning, ParseError
 from fairnoise.estimation import estimate_eo_rates
 from fairnoise.fairtrain import FairClassifier, save_model
@@ -46,7 +49,37 @@ def big_csv(tmp_path):
     return p
 
 
+def _corrupt(src, out, rates=("0.3", "0.2"), seed="5", flags=()):
+    assert main(["corrupt", "--input", str(src), "--output", str(out),
+                 "--rho-plus", rates[0], "--rho-minus", rates[1],
+                 "--seed", seed, *flags]) == 0
+
+
+def _rewritten(src, tmp_path, rates=("0.3", "0.2"), seed="5",
+               drop_missing=False):
+    """The bytes ``write_csv`` gives for ``src`` corrupted as ``_corrupt``
+    corrupts it."""
+    data = inject_ccn(load_csv(src, drop_missing=drop_missing),
+                      CCNNoise(float(rates[0]), float(rates[1])), int(seed))
+    ref = tmp_path / "reference.csv"
+    write_csv(data, ref, bench.csv_feature_names(src))
+    return ref.read_bytes()
+
+
+def _plain_text(columns, rows, sensitive, newline, final):
+    """CSV text of ``rows`` (cell strings by column name) with the
+    sensitive cells taken from ``sensitive``."""
+    lines = [",".join(columns)]
+    for row, bit in zip(rows, sensitive):
+        lines.append(",".join(str(bit) if c == "sensitive" else row[c]
+                              for c in columns))
+    return newline.join(lines) + (newline if final else "")
+
+
 class TestCorrupt:
+    """``corrupt`` copies a plain input with only its sensitive cells
+    replaced; any other input is written anew by ``write_csv``, as before."""
+
     def test_zero_rates_preserve_file(self, csv_path, tmp_path, capsys):
         out = tmp_path / "out.csv"
         rc = main(["corrupt", "--input", str(csv_path), "--output", str(out),
@@ -91,19 +124,102 @@ class TestCorrupt:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-
     def test_feature_names_kept(self, tmp_path):
         # sensitive sits between the features and the names carry
-        # whitespace: the output keeps the stripped names, in file order,
-        # then sensitive, then label
+        # whitespace: a plain input is copied as it is, header included
         src = tmp_path / "named.csv"
         src.write_text(" age ,sensitive,income,label\n"
                        "31.0,1,2.5,0\n45.0,0,1.25,1\n")
         out = tmp_path / "out.csv"
         assert main(["corrupt", "--input", str(src), "--output", str(out),
                      "--rho-plus", "0.0", "--rho-minus", "0.0"]) == 0
+        assert out.read_bytes() == src.read_bytes()
+
+    def test_feature_names_kept_where_the_input_is_rewritten(self, tmp_path):
+        # a sensitive cell written 1.0 is no one-byte bit, so the output is
+        # written anew: the stripped names, in file order, then sensitive,
+        # then label
+        src = tmp_path / "named.csv"
+        src.write_text(" age ,sensitive,income,label\n"
+                       "31.0,1.0,2.5,0\n45.0,0.0,1.25,1\n")
+        out = tmp_path / "out.csv"
+        assert main(["corrupt", "--input", str(src), "--output", str(out),
+                     "--rho-plus", "0.0", "--rho-minus", "0.0"]) == 0
         assert out.read_text().splitlines() == [
             "age,income,sensitive,label", "31.0,2.5,1,0", "45.0,1.25,0,1"]
+
+    @pytest.mark.parametrize("rates", [("0.0", "0.0"), ("0.3", "0.2")],
+                             ids=["zero", "nonzero"])
+    def test_write_csv_inputs_are_written_as_before(self, tmp_path, rates):
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        data = synth_generate(anchor_synthetic_config(n=3000, seed=8))
+        write_csv(data, src, ["g", "f"])
+        _corrupt(src, out, rates)
+        assert out.read_bytes() == _rewritten(src, tmp_path, rates)
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one_block", "7_bytes"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final_eol", "no_final_eol"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("columns", [
+        ["sensitive", "x0", "x1", "label"], [" x0", "sensitive", "x1", "label"],
+        ["x0", "x1", "label", "sensitive"]], ids=["first", "middle", "last"])
+    def test_plain_inputs_keep_every_other_byte(self, tmp_path, monkeypatch,
+                                                block, final, newline,
+                                                columns):
+        # integer-looking features and 2.50, which write_csv would write as
+        # 2.0 and 2.5; a 7-byte block splits most lines between reads
+        if block:
+            monkeypatch.setattr(bench, "_READ_BLOCK", block)
+        rng = np.random.default_rng(11)
+        rows = [{" x0": str(int(v)), "x0": str(int(v)), "x1": "2.50",
+                 "label": str(int(y))}
+                for v, y in zip(rng.integers(-50, 50, 60), rng.integers(0, 2, 60))]
+        bits = rng.integers(0, 2, 60)
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_bytes(_plain_text(columns, rows, bits, newline, final).encode())
+        _corrupt(src, out)
+        injected = inject_ccn(load_csv(src), CCNNoise(0.3, 0.2), 5)
+        assert (injected.sensitive != bits).sum() >= 5
+        assert out.read_bytes() == _plain_text(
+            columns, rows, injected.sensitive, newline, final).encode()
+        got = load_csv(out)
+        assert np.array_equal(got.features, injected.features)
+        assert np.array_equal(got.sensitive, injected.sensitive)
+        assert np.array_equal(got.target, injected.target)
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one_block", "7_bytes"])
+    @pytest.mark.parametrize("text, drop_missing", [
+        ("x0,sensitive,label\n1.5,1.0,0\n2.5,0.0,1\n3.5,1,1\n", False),
+        ("x0,sensitive,label\n1.5,1,0\n2.5,0,1\n3.5,1,1\n4.5,0,1\n5.5,1.0,0\n",
+         False),
+        ("x0,sensitive,label\n1.5,1,0\n\"2.5\",0,1\n3.5,1,1\n", False),
+        ("x0,sensitive,label\n1.5,1,0\n,0,1\n3.5,1,1\n", True),
+        ("x0,sensitive,label\n1.5,1,0\n2.5, 0,1\n3.5,1,1\n", False)],
+        ids=["float_bits", "last_line_float_bit", "quoted_cell",
+             "dropped_row", "spaced_bit"])
+    def test_other_inputs_are_written_anew(self, tmp_path, monkeypatch, block,
+                                           text, drop_missing):
+        if block:
+            monkeypatch.setattr(bench, "_READ_BLOCK", block)
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text(text)
+        _corrupt(src, out, flags=["--drop-missing"] if drop_missing else [])
+        assert out.read_bytes() == _rewritten(src, tmp_path,
+                                              drop_missing=drop_missing)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "in.csv", "out.csv", "reference.csv"]
+
+    @pytest.mark.parametrize("bit", ["1", "1.0"], ids=["spliced", "rewritten"])
+    def test_output_may_be_the_input(self, tmp_path, bit):
+        # corrupting a file onto itself gives the bytes of a separate output
+        text = f"x0,sensitive,label\r\n1,{bit},0\r\n" + "2,0,1\r\n3,1,1\r\n" * 20
+        src, copy, out = (tmp_path / name for name in ("in.csv", "copy.csv",
+                                                       "out.csv"))
+        src.write_bytes(text.encode())
+        copy.write_bytes(text.encode())
+        _corrupt(copy, out)
+        _corrupt(src, src)
+        assert src.read_bytes() == out.read_bytes() != text.encode()
 
 
 class TestDpCalibrate:
@@ -778,6 +894,17 @@ class TestWarningAsError:
         assert (tmp_path / "m.txt").exists()
 
 
+def _logged_run_cell(log, config, data, rep):
+    """``run_cell`` that first appends ``rep`` to the file ``log``. Every
+    repetition after the first then sleeps 0.3 s, so the workers are still
+    busy when the first one's warnings arrive."""
+    with open(log, "a") as fh:
+        fh.write(f"{rep}\n")
+    if rep:
+        time.sleep(0.3)
+    return run_cell(config, data, rep)
+
+
 class TestWorkerWarnings:
     """Workers return their warnings and the parent warns them again, so a
     sweep's stderr does not depend on ``--jobs``."""
@@ -813,6 +940,22 @@ class TestWorkerWarnings:
         assert one == two
         assert one[0] == 1 and one[1].count("\n") == 1
         assert one[1].startswith("PairingWarning: non-default pairing")
+
+    def test_a_raised_warning_cancels_the_waiting_repetitions(
+            self, tmp_path, monkeypatch):
+        # the workers are forked, so they run the patched run_cell too
+        log = tmp_path / "started.txt"
+        monkeypatch.setattr(bench, "run_cell",
+                            partial(_logged_run_cell, str(log)))
+        config = ExperimentConfig(
+            synthetic=disparity_synthetic_config(n=200, seed=3),
+            loss=FairnessLoss.ZERO_ONE, tau_grid=(0.05,), methods=("nocor",),
+            repetitions=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PairingWarning, match="non-default pairing"):
+                bench.run_sweep(config, jobs=2)
+        assert len(log.read_text().split()) < 8
 
 
 class TestJobsEnvVar:
