@@ -11,6 +11,7 @@ repetition index.
 import csv
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -33,6 +34,7 @@ AGG_COLUMNS = ("method", "tau", "rho_plus_hat", "rho_minus_hat", "split",
                "mean_error", "std_error")
 
 _CELL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
+_P_Y1_A1, _P_Y1_A0, _ANCHOR_SEPARATION = 0.65, 0.25, 2.0  # synthetic shapes
 # CSV I/O: bytes per block of the line count, rows per formatted write
 _READ_BLOCK = 1 << 20
 _WRITE_CHUNK = 20_000
@@ -63,8 +65,8 @@ class SyntheticConfig:
             raise ValidationError("proportions must be nonnegative and sum to 1")
         if not 0 < self.variance < math.inf:
             raise ValidationError("variance must be finite and > 0")
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
+        if not 1 <= self.n <= sys.maxsize:  # no array is longer
+            raise ValidationError(f"n must be >= 1 and <= {sys.maxsize}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         object.__setattr__(self, "means", tuple(tuple(float(x) for x in m)
@@ -84,8 +86,7 @@ def synth_generate(config):
     return Dataset(X, cells >> 1, cells & 1)
 
 
-def disparity_synthetic_config(n=4000, seed=23, base_rate=0.25, p_y1_a1=0.65,
-                               p_y1_a0=0.25):
+def disparity_synthetic_config(n=4000, seed=23, base_rate=0.25):
     """Synthetic family with a group-correlated feature, calibrated so the
     unconstrained logistic fit has DDP in [0.3, 0.5] (the fairness
     constraint is active across the benchmark tau grid).
@@ -99,20 +100,20 @@ def disparity_synthetic_config(n=4000, seed=23, base_rate=0.25, p_y1_a1=0.65,
         sy, sa = 2.0 * y - 1.0, 2.0 * a - 1.0
         means.append((1.2 * sy, 0.8 * sy + 0.5 * sa, 1.0 * sa, 0.0))
     pi = base_rate
-    props = ((1 - pi) * (1 - p_y1_a0), (1 - pi) * p_y1_a0,
-             pi * (1 - p_y1_a1), pi * p_y1_a1)
+    props = ((1 - pi) * (1 - _P_Y1_A0), (1 - pi) * _P_Y1_A0,
+             pi * (1 - _P_Y1_A1), pi * _P_Y1_A1)
     return SyntheticConfig(tuple(means), props, 1.0, n, seed)
 
 
-def anchor_synthetic_config(n=20000, seed=3, separation=2.0):
+def anchor_synthetic_config(n=20000, seed=3):
     """Synthetic family with anchor regions: the group feature's class
-    means sit ``2 * separation`` standard deviations apart, so the tails
+    means sit at -2 and 2, four standard deviations apart, so the tails
     are pure-group regions where P[A=1 | x] reaches 0 or 1 (what the
     noise-rate estimator needs)."""
     means = []
     for a, y in _CELL_ORDER:
         sy, sa = 2.0 * y - 1.0, 2.0 * a - 1.0
-        means.append((separation * sa, 0.8 * sy))
+        means.append((_ANCHOR_SEPARATION * sa, 0.8 * sy))
     props = (0.3, 0.2, 0.2, 0.3)  # P[A=1]=0.5, P[Y=1|A=1]=0.6, P[Y=1|A=0]=0.4
     return SyntheticConfig(tuple(means), props, 1.0, n, seed)
 
@@ -378,8 +379,8 @@ class ExperimentConfig:
             raise ValidationError("tau_grid must be nonempty with taus >= 0")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValidationError(f"methods must be a nonempty subset of {METHODS}")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
+        if not 1 <= self.repetitions <= sys.maxsize:  # no range is longer
+            raise ValidationError(f"repetitions must be >= 1 and <= {sys.maxsize}")
         if self.base_seed < 0:
             raise ValidationError("base_seed must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
@@ -571,7 +572,6 @@ def _warn_again(message, category, filename, lineno):
     the same file and line, under this process's filters, and once per
     location as ``warn`` counts it, in the registry of the module that
     warned."""
-    import sys
     module = next((m for m in list(sys.modules.values())
                    if getattr(m, "__file__", None) == filename), None)
     scope = {} if module is None else vars(module)

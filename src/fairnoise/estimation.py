@@ -4,8 +4,9 @@ Under CCN flips of the sensitive bit the observed group-membership
 posterior satisfies eta_corr(x) = rho- + (1 - rho+ - rho-) eta(x), so on
 data containing anchor points (instances whose clean posterior is 0 or 1)
 the extremes of a calibrated estimate of eta_corr identify the rates:
-rho- at the bottom, 1 - rho+ at the top. Robust low/high quantiles stand
-in for the strict extrema.
+rho- at the bottom, 1 - rho+ at the top; robust low/high quantiles stand
+in for the strict extrema. One anchor routine serves both estimates: the
+CCN rates on all rows and, from the rates on the Y=1 rows, the EO weights.
 
 The posterior is a regularized logistic scorer whose outputs are
 recalibrated by equal-count binning of the training scores, which keeps
@@ -127,7 +128,10 @@ def fit_posterior(X, sensitive):
                           converged)
 
 
-def _quantile_rates(eta):
+def _anchor_rates(X, sensitive):
+    """CCN rates from the calibrated posterior of ``sensitive`` fitted on
+    the design ``X``: rho- and 1 - rho+ at its anchor quantiles."""
+    eta = fit_posterior(X, sensitive).predict_proba(X)
     lo = float(np.quantile(eta, _ANCHOR_QUANTILE))
     hi = float(np.quantile(eta, 1.0 - _ANCHOR_QUANTILE))
     rho_minus = max(lo, 0.0)
@@ -140,32 +144,34 @@ def _quantile_rates(eta):
             DegenerateEstimateWarning, stacklevel=3)
         rho_plus *= shrink
         rho_minus *= shrink
-    return rho_plus, rho_minus
+    return CCNNoise(rho_plus, rho_minus)
 
 
 def estimate_ccn_rates(data):
     """Anchor-point estimate of the CCN flip rates from corrupted data."""
-    X = ccn_design(data)
-    eta = fit_posterior(X, data.sensitive).predict_proba(X)
-    rho_plus, rho_minus = _quantile_rates(eta)
-    return CCNNoise(rho_plus, rho_minus)
+    return _anchor_rates(ccn_design(data), data.sensitive)
 
 
-def estimate_eo_rates(data):
-    """Anchor-point estimate of the EO-conditional mixture weights.
-
-    Runs the CCN estimator restricted to the Y=1 slice, then converts the
-    rates through the slice's observed (corrupted) base rate. The Y=1
-    corruption is itself an MC model, so its mixture weights are exactly
-    the EO-conditional parameters.
-    """
+def _positives(data):
+    """The mask of the Y=1 rows, which equal opportunity conditions on."""
     mask = data.target == 1
     if not mask.any():
         raise EmptySlice("Y=1 slice is empty")
-    sliced = data.subset(mask)
-    eta = fit_posterior(sliced.features,
-                        sliced.sensitive).predict_proba(sliced.features)
-    rho_plus, rho_minus = _quantile_rates(eta)
-    mc, _ = ccn_to_mc_from_corrupted(CCNNoise(rho_plus, rho_minus),
-                                     sliced.base_rate())
+    return mask
+
+
+def _ccn_to_eo(noise, data):
+    """EO-conditional weights of CCN rates: CCN flips are independent of Y,
+    so the Y=1 slice is CCN with the same rates, and its MC weights through
+    the slice's observed base rate are exactly (alpha', beta')."""
+    mc, _ = ccn_to_mc_from_corrupted(
+        noise, float(data.sensitive[_positives(data)].mean()))
     return EOConditionalNoise(mc.alpha, mc.beta)
+
+
+def estimate_eo_rates(data):
+    """Anchor-point estimate of the EO-conditional mixture weights: the
+    CCN rates estimated on the Y=1 slice, converted by ``_ccn_to_eo``."""
+    y1 = _positives(data)
+    return _ccn_to_eo(_anchor_rates(data.features[y1], data.sensitive[y1]),
+                      data)

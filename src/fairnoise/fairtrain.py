@@ -40,18 +40,18 @@ little, so it is off by default.
 """
 
 import math
+import sys
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from ._logit import Workspace, fit_logistic
 from .core import (SLICES, Criterion, LinearScorer, fairness_losses,
                    slice_masks, slice_means)
-from .errors import (EmptySlice, InfeasibleWarning, NumericalError,
-                     ValidationError)
-from .estimation import estimate_ccn_rates, estimate_eo_rates
+from .errors import InfeasibleWarning, NumericalError, ValidationError
+from .estimation import _ccn_to_eo, estimate_ccn_rates, estimate_eo_rates
 from .noise import (CCNNoise, EOConditionalNoise, MCNoise,
                     ccn_to_mc_from_corrupted, mc_to_eo, scale_tolerance)
 
@@ -62,6 +62,7 @@ _REGULARIZATION = 3e-3  # ridge of every best-response fit
 # A run is feasible when some iterate's violation is within tau plus this.
 _FEASIBILITY_SLACK = 0.01
 _BOUNDARY_MARGIN = 0.01  # the internal tolerance is tau minus this
+_MAX_LEVELS = 1022 - 63 - 6  # the most presolve_iterations, see TrainConfig
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,9 @@ class TrainConfig:
     the largest power of two at most ``min(n0, n1) / n`` for slices of n0
     and n1 of the n rows). At most that many halvings plus the secant's
     two steps follow; an infeasible fit at the bound is returned before
-    any. Training is deterministic.
+    any. ``presolve_iterations`` is at most 953: below 2**63 rows, ``hi >=
+    nu_1 >= 2**-63``, so the secant's grid (that width / 64) stays normal.
+    Training is deterministic.
     """
 
     outer_iterations: int = 1
@@ -98,8 +101,11 @@ class TrainConfig:
         if min(self.outer_iterations, self.base_iterations,
                self.presolve_base_iterations) < 1:
             raise ValidationError("iteration counts must be >= 1")
-        if self.presolve_iterations < 0:
-            raise ValidationError("presolve_iterations must be >= 0 (0: none)")
+        if self.outer_iterations > sys.maxsize:  # no array is longer
+            raise ValidationError(f"outer_iterations must be <= {sys.maxsize}")
+        if not 0 <= self.presolve_iterations <= _MAX_LEVELS:
+            raise ValidationError("presolve_iterations must be >= 0 and <= "
+                                  f"{_MAX_LEVELS} (0: none)")
 
 
 @dataclass
@@ -393,36 +399,23 @@ def _clean_conditionals_from_corrupted(mc, data):
 
 
 def _resolve_noise(data, criterion, noise):
-    """Map whatever noise description was supplied to the parameterisation
-    the tolerance scaling needs for this criterion, and the pair the trace
-    reports: the CCN rates when they were given or estimated, else the
-    mixture weights used."""
-    if criterion == Criterion.DEMOGRAPHIC_PARITY:
-        if noise is None:
-            noise = estimate_ccn_rates(data)
-        if isinstance(noise, CCNNoise):
-            mc, _ = ccn_to_mc_from_corrupted(noise, data.base_rate())
-            return mc, (noise.rho_plus, noise.rho_minus)
-        if isinstance(noise, MCNoise):
-            return noise, (noise.alpha, noise.beta)
-        raise ValidationError("demographic parity scaling needs MC or CCN noise")
+    """The weights of A that scale the tolerance (``MCNoise`` on all rows
+    for DP, ``EOConditionalNoise`` on the Y=1 rows for EO) and the pair the
+    trace reports. ``None`` is estimated; CCN rates, reported as given,
+    convert through those rows' base rate; EO takes MC through ``mc_to_eo``."""
+    dp = criterion == Criterion.DEMOGRAPHIC_PARITY
     if noise is None:
-        noise = estimate_eo_rates(data)
-    if isinstance(noise, EOConditionalNoise):
-        return noise, (noise.alpha_prime, noise.beta_prime)
+        noise = estimate_ccn_rates(data) if dp else estimate_eo_rates(data)
     if isinstance(noise, CCNNoise):
-        # CCN flips are independent of Y, so the Y=1 slice is CCN with the
-        # same rates; its MC weights are exactly (alpha', beta').
-        a_y1 = data.sensitive[data.target == 1]
-        if len(a_y1) == 0:
-            raise EmptySlice("Y=1 slice is empty")
-        mc, _ = ccn_to_mc_from_corrupted(noise, float(a_y1.mean()))
-        return (EOConditionalNoise(mc.alpha, mc.beta),
-                (noise.rho_plus, noise.rho_minus))
-    if isinstance(noise, MCNoise):
-        eo = mc_to_eo(noise, *_clean_conditionals_from_corrupted(noise, data))
-        return eo, (eo.alpha_prime, eo.beta_prime)
-    raise ValidationError("equal opportunity scaling needs EO, MC or CCN noise")
+        return (ccn_to_mc_from_corrupted(noise, data.base_rate())[0] if dp
+                else _ccn_to_eo(noise, data)), astuple(noise)
+    if not dp and isinstance(noise, MCNoise):
+        noise = mc_to_eo(noise, *_clean_conditionals_from_corrupted(noise, data))
+    if isinstance(noise, MCNoise if dp else EOConditionalNoise):
+        return noise, astuple(noise)
+    raise ValidationError("demographic parity scaling needs MC or CCN noise"
+                          if dp else
+                          "equal opportunity scaling needs EO, MC or CCN noise")
 
 
 def train_fair_noisy(data_corrupted, spec, noise=None, config=TrainConfig(),

@@ -17,7 +17,7 @@ import pytest
 
 from _random_cases import (FILE_MUTATIONS, csv_load_outcome, mutate_file_text,
                            row_parser_load)
-from fairnoise import bench, cli
+from fairnoise import bench, cli, sweepconfig
 from fairnoise.bench import (ExperimentConfig, anchor_synthetic_config,
                              disparity_synthetic_config, load_csv,
                              read_results, run_cell, synth_generate,
@@ -26,7 +26,7 @@ from fairnoise.cli import main
 from fairnoise.core import Dataset, FairnessLoss
 from fairnoise.errors import PairingWarning, ParseError
 from fairnoise.estimation import estimate_eo_rates
-from fairnoise.fairtrain import FairClassifier, save_model
+from fairnoise.fairtrain import _MAX_LEVELS, FairClassifier, save_model
 from fairnoise.noise import CCNNoise, inject_ccn
 
 
@@ -609,6 +609,42 @@ class TestSweep:
         assert {r.method for r in rows} == {"nocor", "cor_scale"}
         assert (tmp_path / "results_agg.csv").exists()
         assert "test violation" in capsys.readouterr().out
+
+    # the keys whose values size an array, a range or the secant's grid are
+    # bounded; seeds and Newton caps take any size
+    HUGE = "9" * 400
+    INT_KEYS = {"synth_n": 1, "repetitions": 1, "outer_iterations": 1,
+                "presolve_iterations": 1, "synth_seed": 0, "base_seed": 0,
+                "base_iterations": 0, "presolve_base_iterations": 0}
+
+    def test_every_integer_key_is_covered(self):
+        assert {row[0] for row in sweepconfig._SCHEMA
+                if row[3] is sweepconfig._CODECS[int]} == set(self.INT_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(INT_KEYS))
+    def test_400_digit_integer_values(self, tmp_path, capsys, key):
+        out = tmp_path / "results.csv"
+        rc = main(["sweep", "--set", "repetitions=1", "--set", "synth_n=400",
+                   "--set", f"{key}={self.HUGE}", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == self.INT_KEYS[key]
+        if rc:
+            assert len(err) == 1 and err[0].startswith("invalid parameter: ")
+            assert not out.exists()
+        else:
+            assert read_results(out)
+
+    @pytest.mark.parametrize("levels, rc", [
+        (_MAX_LEVELS, 0), (_MAX_LEVELS + 1, 1), (1020, 1), (2000, 1)])
+    def test_presolve_depth_bound(self, tmp_path, capsys, levels, rc):
+        # on the default sweep, 1020 levels overflowed the secant's grid
+        out = tmp_path / "results.csv"
+        assert main(["sweep", "--set", "repetitions=1", "--set",
+                     f"presolve_iterations={levels}", "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert err == ("" if rc == 0 else "invalid parameter: presolve_"
+                       f"iterations must be >= 0 and <= {_MAX_LEVELS} "
+                       "(0: none)\n")
 
     @pytest.mark.parametrize("setting", [
         "methods=nocor,nocor", "tau_grid=0.05,5e-2",

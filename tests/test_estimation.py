@@ -152,6 +152,22 @@ class TestEstimateCcnRates:
             estimate_ccn_rates(data)
 
 
+class TestWarningLocation:
+    """A clamped estimate warns at the line that asked for it."""
+
+    @pytest.mark.parametrize("estimate", [estimate_ccn_rates,
+                                          estimate_eo_rates])
+    def test_degenerate_estimate_names_the_caller(self, estimate):
+        # constant features force a flat posterior, which must be clamped
+        rng = np.random.default_rng(3)
+        n = 4000
+        data = Dataset(np.ones((n, 2)), rng.integers(0, 2, n),
+                       np.ones(n, dtype=int))
+        with pytest.warns(DegenerateEstimateWarning) as caught:
+            estimate(data)
+        assert [w.filename for w in caught] == [__file__]
+
+
 class TestEstimateEoRates:
     def test_clean_data(self):
         _, corr = corrupted_anchor(0.0, 0.0)

@@ -3,6 +3,7 @@ reduction-constraint conversions and model persistence."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 from functools import partial
@@ -10,21 +11,22 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fairnoise import fairtrain
+from fairnoise import estimation, fairtrain
 from fairnoise._logit import fit_logistic
-from fairnoise.bench import (ExperimentConfig, default_experiment_config,
+from fairnoise.bench import (ExperimentConfig, anchor_synthetic_config,
+                             default_experiment_config,
                              disparity_synthetic_config, run_sweep,
                              synth_generate)
 from fairnoise.cli import main
 from fairnoise.core import (SLICES, Criterion, Dataset, FairnessLoss,
                             FairnessSpec, LinearScorer, accuracy_risk, ddp,
                             deo, mean_fairness_loss, predictions, slice_masks)
-from fairnoise.errors import (EmptySlice, InfeasibleWarning, NumericalError,
-                              PairingWarning, ValidationError)
-from fairnoise.estimation import estimate_eo_rates
+from fairnoise.errors import (EmptyDataset, EmptySlice, InfeasibleWarning,
+                              NumericalError, PairingWarning, ValidationError)
+from fairnoise.estimation import estimate_ccn_rates, estimate_eo_rates
 from fairnoise.fairtrain import (_BOUNDARY_MARGIN, _DUAL_BOUND,
-                                 _FEASIBILITY_SLACK, _REGULARIZATION,
-                                 TrainConfig,
+                                 _FEASIBILITY_SLACK, _MAX_LEVELS,
+                                 _REGULARIZATION, TrainConfig,
                                  _clean_conditionals_from_corrupted,
                                  _Reduction, _resolve_noise,
                                  load_model, save_model, train_fair,
@@ -138,6 +140,24 @@ class TestTrainConfig:
              presolve_base_iterations=10)])
     def test_small_iteration_counts_accepted(self, ok):
         assert TrainConfig(**ok).presolve_iterations == ok["presolve_iterations"]
+
+    @pytest.mark.parametrize("bad", [
+        dict(outer_iterations=sys.maxsize + 1), dict(outer_iterations=10**400),
+        dict(presolve_iterations=_MAX_LEVELS + 1),
+        dict(presolve_iterations=10**400)])
+    def test_huge_iteration_counts_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"<= \d+"):
+            TrainConfig(**bad)
+
+    def test_deepest_presolve_keeps_the_secant_grid_normal(self):
+        # the doubling's top is at least 2**-63 below 2**63 rows, and up to
+        # the dual bound; the secant's grid is width / 64
+        for top in (2.0 ** -63, 2.0 ** -1, _DUAL_BOUND):
+            grid = top * 2.0 ** -_MAX_LEVELS / 64.0
+            assert grid >= sys.float_info.min
+        assert 2.0 ** -63 * 2.0 ** -(_MAX_LEVELS + 1) / 64.0 < sys.float_info.min
+        assert TrainConfig(presolve_iterations=_MAX_LEVELS).presolve_iterations \
+            == _MAX_LEVELS
 
 
 class TestDefaultTraining:
@@ -683,6 +703,79 @@ class TestTrainFairNoisy:
         unscaled = train_fair(corrupted, spec)
         assert ddp(test, scaled) <= tau + 0.03
         assert ddp(test, unscaled) >= tau + 0.05
+
+
+_DP_NEEDS = "^demographic parity scaling needs MC or CCN noise$"
+_EO_NEEDS = "^equal opportunity scaling needs EO, MC or CCN noise$"
+
+
+class TestResolveNoise:
+    """``_resolve_noise`` is the public conversions and estimators, bit for
+    bit: one rule per kind of noise, whichever criterion asks."""
+
+    @staticmethod
+    def _corrupted(seed):
+        data = synth_generate(anchor_synthetic_config(n=4000, seed=seed))
+        return inject_ccn(data, CCNNoise(0.2, 0.1), 100 + seed)
+
+    @staticmethod
+    def _expected(data, criterion, noise):
+        dp = criterion == DP
+        if noise is None:
+            noise = estimate_ccn_rates(data) if dp else estimate_eo_rates(data)
+        if isinstance(noise, CCNNoise):
+            rows = data if dp else data.subset(data.target == 1)
+            mc, _ = ccn_to_mc_from_corrupted(noise, rows.base_rate())
+            weights = mc if dp else EOConditionalNoise(mc.alpha, mc.beta)
+            return weights, (noise.rho_plus, noise.rho_minus)
+        if isinstance(noise, EOConditionalNoise):
+            return noise, (noise.alpha_prime, noise.beta_prime)
+        if dp:
+            return noise, (noise.alpha, noise.beta)
+        c1 = data.target_rate_given_sensitive(1)
+        c0 = data.target_rate_given_sensitive(0)
+        det = 1.0 - noise.alpha - noise.beta
+        eo = mc_to_eo(noise, ((1.0 - noise.beta) * c1 - noise.alpha * c0) / det,
+                      ((1.0 - noise.alpha) * c0 - noise.beta * c1) / det)
+        return eo, (eo.alpha_prime, eo.beta_prime)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("criterion, noise", [
+        (DP, None), (DP, CCNNoise(0.15, 0.1)), (DP, MCNoise(0.1, 0.05)),
+        (EO, None), (EO, CCNNoise(0.15, 0.1)), (EO, MCNoise(0.1, 0.05)),
+        (EO, EOConditionalNoise(0.12, 0.07))])
+    def test_values_are_the_public_rules(self, seed, criterion, noise):
+        data = self._corrupted(seed)
+        weights, pair = _resolve_noise(data, criterion, noise)
+        want_weights, want_pair = self._expected(data, criterion, noise)
+        assert type(weights) is type(want_weights)
+        assert weights == want_weights
+        assert pair == want_pair
+
+    @pytest.mark.parametrize("criterion, noise, message", [
+        (DP, EOConditionalNoise(0.1, 0.1), _DP_NEEDS),
+        (DP, (0.1, 0.1), _DP_NEEDS), (EO, (0.1, 0.1), _EO_NEEDS),
+        (DP, "0.1", _DP_NEEDS), (EO, "0.1", _EO_NEEDS)])
+    def test_unaccepted_noise_names_the_accepted_types(self, criterion, noise,
+                                                       message):
+        with pytest.raises(ValidationError, match=message):
+            _resolve_noise(self._corrupted(0), criterion, noise)
+
+    def test_dp_ccn_on_an_empty_dataset(self):
+        data = Dataset(np.zeros((0, 2)), [], [])
+        with pytest.raises(EmptyDataset):
+            _resolve_noise(data, DP, CCNNoise(0.1, 0.1))
+
+    @pytest.mark.parametrize("noise", [None, CCNNoise(0.1, 0.1)])
+    def test_eo_without_positives_fails_before_any_fit(self, monkeypatch,
+                                                       noise):
+        def no_fit(*args):
+            raise AssertionError("a posterior was fitted")
+        monkeypatch.setattr(estimation, "fit_posterior", no_fit)
+        data = Dataset(np.random.default_rng(2).normal(0, 1, (20, 2)),
+                       [0, 1] * 10, [0] * 20)
+        with pytest.raises(EmptySlice, match="^Y=1 slice is empty$"):
+            _resolve_noise(data, EO, noise)
 
 
 class TestCleanConditionalRecovery:
